@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "report/metrics.hpp"
+#include "report/corpus.hpp"
 #include "util/strings.hpp"
 
 int main() {

@@ -9,8 +9,8 @@
 #include <chrono>
 #include <cstdio>
 
+#include "report/corpus.hpp"
 #include "report/figures.hpp"
-#include "report/metrics.hpp"
 #include "report/tables.hpp"
 
 namespace rtcc::bench {

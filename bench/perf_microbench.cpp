@@ -18,13 +18,10 @@
 #include "proto/rtcp/rtcp.hpp"
 #include "proto/rtp/rtp.hpp"
 #include "proto/stun/stun.hpp"
-#include "net/arena.hpp"
-#include "net/packet_batch.hpp"
 #include "net/pcap.hpp"
 #include "proto/tls/client_hello.hpp"
 #include "report/corpus.hpp"
 #include "report/metrics.hpp"
-#include "report/shard.hpp"
 #include "service/daemon.hpp"
 #include "stream/chunk_reader.hpp"
 #include "stream/engine.hpp"
@@ -194,21 +191,18 @@ void BM_ScanningDpiMacro(benchmark::State& state) {
 }
 BENCHMARK(BM_ScanningDpiMacro)->Arg(0)->Arg(1)->ArgNames({"anchor"});
 
-/// Vector-pipeline sweep over the same macro workload: batch size
-/// (1 = the fused per-datagram path, 256 = the default vector length)
-/// crossed with the forced SIMD kernel level. Levels this CPU or build
-/// cannot execute are skipped, not failed, so the sweep is portable
-/// across x86-64 tiers and AArch64. All cells produce byte-identical
-/// analyses (the parity oracles enforce that); this measures cost only.
+/// Vector-pipeline sweep over the same macro workload across the forced
+/// SIMD kernel level. Levels this CPU or build cannot execute are
+/// skipped, not failed, so the sweep is portable across x86-64 tiers
+/// and AArch64. All cells produce byte-identical analyses (the parity
+/// oracles enforce that); this measures cost only.
 void BM_BatchPipeline(benchmark::State& state) {
   static const DpiWorkload wl(1.0, 30.0);
-  const auto level = static_cast<dpi::SimdLevel>(state.range(1));
+  const auto level = static_cast<dpi::SimdLevel>(state.range(0));
   if (!dpi::simd_level_supported(level)) {
     state.SkipWithError("SIMD level not supported on this CPU/build");
     return;
   }
-  const net::BatchModeGuard batch_guard(
-      static_cast<std::size_t>(state.range(0)));
   const dpi::SimdModeGuard simd_guard(level);
   const dpi::ScanningDpi engine;
   for (auto _ : state) {
@@ -224,12 +218,11 @@ void BM_BatchPipeline(benchmark::State& state) {
   state.SetLabel(dpi::to_string(level));
 }
 BENCHMARK(BM_BatchPipeline)
-    ->ArgsProduct({{1, 32, 64, 128, 256, 512, 1024},
-                   {static_cast<long>(dpi::SimdLevel::kScalar),
-                    static_cast<long>(dpi::SimdLevel::kSse2),
-                    static_cast<long>(dpi::SimdLevel::kAvx2),
-                    static_cast<long>(dpi::SimdLevel::kNeon)}})
-    ->ArgNames({"batch", "simd"});
+    ->Arg(static_cast<long>(dpi::SimdLevel::kScalar))
+    ->Arg(static_cast<long>(dpi::SimdLevel::kSse2))
+    ->Arg(static_cast<long>(dpi::SimdLevel::kAvx2))
+    ->Arg(static_cast<long>(dpi::SimdLevel::kNeon))
+    ->ArgNames({"simd"});
 
 void BM_StrictDpi(benchmark::State& state) {
   emul::CallConfig cfg;
@@ -257,10 +250,10 @@ void BM_StrictDpi(benchmark::State& state) {
 }
 BENCHMARK(BM_StrictDpi);
 
-/// Experiment dispatch ablation: serial vs barrier-stalling waves vs
-/// the persistent work-stealing pool, over a matrix whose call costs
-/// are deliberately heterogeneous (relay-mode Zoom with filler bursts
-/// is several times slower than the small P2P calls).
+/// Experiment dispatch: serial vs the persistent work-stealing pool,
+/// over a matrix whose call costs are deliberately heterogeneous
+/// (relay-mode Zoom with filler bursts is several times slower than
+/// the small P2P calls).
 void BM_ExperimentDispatch(benchmark::State& state) {
   report::ExperimentConfig cfg;
   cfg.repeats = 1;
@@ -278,7 +271,6 @@ void BM_ExperimentDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ExperimentDispatch)
     ->Arg(static_cast<int>(report::ExecMode::kSerial))
-    ->Arg(static_cast<int>(report::ExecMode::kWave))
     ->Arg(static_cast<int>(report::ExecMode::kPooled))
     ->ArgNames({"mode"})
     ->Unit(benchmark::kMillisecond)
@@ -299,42 +291,35 @@ const util::Bytes& sample_pcap() {
   return encoded;
 }
 
-/// Decode-path ablation: mode 0 = legacy per-frame owned buffers,
-/// mode 1 = arena copy (one slab memcpy per frame), mode 2 = zero-copy
-/// views over the input buffer. The acceptance bar for this PR is
-/// zero-copy ≥ 3x over legacy.
+/// Decode paths: mode 1 = arena copy (one slab memcpy per frame),
+/// mode 2 = zero-copy views over the input buffer.
 void BM_PcapDecode(benchmark::State& state) {
   const auto& encoded = sample_pcap();
   const int mode = static_cast<int>(state.range(0));
   std::size_t frames = 0;
   for (auto _ : state) {
-    std::optional<net::Trace> trace;
-    if (mode == 2) {
-      // Buffer outlives the trace (it's static), so no keepalive.
-      trace = net::decode_pcap_zero_copy(util::BytesView{encoded});
-    } else {
-      net::ArenaModeGuard guard(mode == 1);
-      trace = net::decode_pcap(util::BytesView{encoded});
-    }
+    // Buffer outlives the trace (it's static), so no keepalive.
+    auto trace = mode == 2
+                     ? net::decode_pcap_zero_copy(util::BytesView{encoded})
+                     : net::decode_pcap(util::BytesView{encoded});
     frames = trace->size();
     benchmark::DoNotOptimize(trace);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(encoded.size()));
   state.counters["frames"] = static_cast<double>(frames);
-  state.SetLabel(mode == 0 ? "legacy" : mode == 1 ? "arena-copy" : "zero-copy");
+  state.SetLabel(mode == 1 ? "arena-copy" : "zero-copy");
 }
-BENCHMARK(BM_PcapDecode)->Arg(0)->Arg(1)->Arg(2)->ArgNames({"mode"});
+BENCHMARK(BM_PcapDecode)->Arg(1)->Arg(2)->ArgNames({"mode"});
 
-/// Emulator frame building: legacy (one temp vector per frame, copied
-/// into the emission) vs arena (headers + payload written in place).
+/// Emulator frame building: headers + payload written in place into
+/// the call's arena.
 void BM_EmulatorGenerate(benchmark::State& state) {
   emul::CallConfig cfg;
   cfg.app = emul::AppId::kGoogleMeet;
   cfg.network = emul::NetworkSetup::kWifiRelay;
   cfg.media_scale = 0.1;
   cfg.call_s = 120.0;
-  net::ArenaModeGuard guard(state.range(0) != 0);
   std::uint64_t bytes = 0;
   for (auto _ : state) {
     auto call = emul::emulate_call(cfg);
@@ -343,13 +328,8 @@ void BM_EmulatorGenerate(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes));
-  state.SetLabel(state.range(0) != 0 ? "arena" : "legacy");
 }
-BENCHMARK(BM_EmulatorGenerate)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"arena"})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EmulatorGenerate)->Unit(benchmark::kMillisecond);
 
 /// Streaming corpus: generate+analyze `repeats` x 18 calls with the
 /// live-trace gate. The memory claim is visible in the counters: as
@@ -417,28 +397,39 @@ BENCHMARK(BM_ScenarioScaling)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-/// Flow-sharding scaling curve: the same streaming corpus with the
-/// shard count pinned per run (arg = RTCC_SHARDS equivalent; 1 = the
-/// unsharded reference). Real time vs process CPU time separates
-/// speedup from parallel overhead: on an N-core box real time should
-/// drop toward 1/N while CPU time stays roughly flat (the merged
-/// output is byte-identical at every point — the parity oracle's
-/// claim — so this measures cost only). Published as BENCH_shard.json
-/// by the release-bench CI job.
+/// The mid-size relay call shared by the streaming, shard and
+/// transform benches.
+const emul::EmulatedCall& mid_relay_call() {
+  static const emul::EmulatedCall call = [] {
+    emul::CallConfig cfg;
+    cfg.app = emul::AppId::kZoom;
+    cfg.network = emul::NetworkSetup::kWifiRelay;
+    cfg.media_scale = 0.05;
+    cfg.call_s = 60.0;
+    return emul::emulate_call(cfg);
+  }();
+  return call;
+}
+
+/// Flow-sharding scaling curve: the streaming engine, sharding's only
+/// consumer, over BM_StreamingVsBatch's call with the shard count
+/// pinned per run (arg = RTCC_SHARDS equivalent; 1 = flows analyzed
+/// inline). Real time vs process CPU time separates speedup from
+/// parallel overhead (the merged output is byte-identical at every
+/// point — the shard-parity oracle's claim — so this measures cost
+/// only). Published as BENCH_shard.json by the release-bench CI job.
 void BM_ShardScaling(benchmark::State& state) {
-  const report::ShardModeGuard shard_guard(
-      static_cast<std::size_t>(state.range(0)));
-  report::CorpusOptions opts;
-  opts.experiment.repeats = 1;
-  opts.experiment.media_scale = 0.02;
-  opts.experiment.call_s = 60.0;
+  const auto& call = mid_relay_call();
+  static const filter::FilterConfig fcfg = emul::filter_config_for(call);
+  report::AnalysisOptions opts;
+  opts.shards = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    auto result = report::run_corpus(opts);
-    state.counters["corpus_mb"] =
-        static_cast<double>(result.total_trace_bytes) / 1e6;
-    state.counters["mb_per_s"] = result.mb_per_s();
-    benchmark::DoNotOptimize(result);
+    auto analysis = stream::analyze_trace_streaming(call.trace, fcfg, opts,
+                                                    stream::StreamOptions{});
+    benchmark::DoNotOptimize(analysis);
   }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(call.trace.total_bytes()));
   state.counters["shards"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_ShardScaling)
@@ -460,14 +451,7 @@ BENCHMARK(BM_ShardScaling)
 /// the inversion; live_peak_mb vs capture_mb shows the O(active flows)
 /// memory bound. Published as BENCH_stream.json by release-bench CI.
 void BM_StreamingVsBatch(benchmark::State& state) {
-  static const emul::EmulatedCall call = [] {
-    emul::CallConfig cfg;
-    cfg.app = emul::AppId::kZoom;
-    cfg.network = emul::NetworkSetup::kWifiRelay;
-    cfg.media_scale = 0.05;
-    cfg.call_s = 60.0;
-    return emul::emulate_call(cfg);
-  }();
+  const auto& call = mid_relay_call();
   static const filter::FilterConfig fcfg = emul::filter_config_for(call);
   static const util::Bytes pcap = net::encode_pcap(call.trace);
   const stream::StreamModeGuard batch_ref(false);
@@ -505,21 +489,16 @@ BENCHMARK(BM_StreamingVsBatch)
     ->Arg(1)
     ->Arg(2)
     ->ArgNames({"mode"})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
 
 /// Metamorphic transform cost over a mid-size relay call: arg = index
 /// into testkit::meta::transform_catalogue(). The interesting spread is
 /// re-encapsulation (per-frame header surgery) vs pcap round-trips
 /// (full encode+decode) vs renumber (per-frame decode+rebuild).
 void BM_MetaTransform(benchmark::State& state) {
-  static const emul::EmulatedCall call = [] {
-    emul::CallConfig cfg;
-    cfg.app = emul::AppId::kZoom;
-    cfg.network = emul::NetworkSetup::kWifiRelay;
-    cfg.media_scale = 0.05;
-    cfg.call_s = 60.0;
-    return emul::emulate_call(cfg);
-  }();
+  const auto& call = mid_relay_call();
   static const filter::FilterConfig fcfg = emul::filter_config_for(call);
   const auto& t = testkit::meta::transform_catalogue()[
       static_cast<std::size_t>(state.range(0))];
@@ -551,7 +530,10 @@ void BM_EndToEndCall(benchmark::State& state) {
   }
   state.counters["frames"] = static_cast<double>(call.trace.size());
 }
-BENCHMARK(BM_EndToEndCall);
+BENCHMARK(BM_EndToEndCall)
+    ->Unit(benchmark::kMillisecond)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
 
 /// Service-mode flow churn: >= 100k short-lived RTP flows pushed
 /// through one StreamingAnalyzer configured the way rtccd runs it —
@@ -652,6 +634,7 @@ BENCHMARK(BM_ServiceChurn)
     ->Arg(100000)
     ->ArgNames({"flows"})
     ->Unit(benchmark::kMillisecond)
+    ->MeasureProcessCPUTime()
     ->UseRealTime();
 
 }  // namespace

@@ -10,7 +10,7 @@
 // bespoke handling for.
 #include <cstdio>
 
-#include "report/metrics.hpp"
+#include "report/corpus.hpp"
 
 int main() {
   using namespace rtcc;

@@ -15,9 +15,10 @@
 // occupancy (packets / vectors), the main VPP health metric.
 //
 // The counters are *diagnostic*, not part of the compliance verdict:
-// vectors depends on RTCC_BATCH, so the metamorphic / batch-parity
-// signatures exclude them (testkit::meta::compliance_signature), while
-// the report JSON surfaces them under "nodes".
+// the prefilter's staged lanes depend on RTCC_SIMD (the scalar level
+// stages nothing), so the metamorphic signatures exclude them
+// (testkit::meta::compliance_signature), while the report JSON
+// surfaces them under "nodes".
 #pragma once
 
 #include <cstdint>

@@ -22,17 +22,10 @@ namespace {
 #define RTCC_ALWAYS_INLINE inline
 #endif
 
-/// Demux-node unroll width: descriptors emitted per loop iteration.
-/// Compile-time tunable (-DRTCC_DEMUX_UNROLL=2|4) for the ablation
-/// sweep in EXPERIMENTS.md; the {2,4} x prefetch sweep showed no
-/// significant separation, so 2 stays as the default. The
-/// constant-trip inner loops below fully unroll at either width.
-#ifndef RTCC_DEMUX_UNROLL
-#define RTCC_DEMUX_UNROLL 2
-#endif
-constexpr std::size_t kDemuxUnroll = RTCC_DEMUX_UNROLL;
-static_assert(kDemuxUnroll == 2 || kDemuxUnroll == 4,
-              "demux unroll width must be 2 or 4");
+/// Demux-node unroll width: descriptors emitted per loop iteration. A
+/// {2,4} x prefetch sweep showed no significant separation. The
+/// constant-trip inner loops below fully unroll.
+constexpr std::size_t kDemuxUnroll = 2;
 
 namespace stun = rtcc::proto::stun;
 namespace rtp = rtcc::proto::rtp;
@@ -405,23 +398,12 @@ std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
     st.rtp_pairs.reserve(n_packets * 2);
 
   // ---- Step 1: candidate extraction (Algorithm 1, lines 5-13) ----
-  const std::size_t bsz = net::batch_size();
+  constexpr std::size_t bsz = net::kBatchSize;
   if (!options_.use_anchor_prefilter) {
     // Oracle path: every protocol sniff at every offset 0..k.
     for (std::size_t di = 0; di < n_packets; ++di)
       extract_naive(packets.payload(di), static_cast<std::uint32_t>(di),
                     options_, st);
-  } else if (bsz <= 1) {
-    // Legacy one-datagram-at-a-time path (the batch-parity oracle):
-    // anchor scan and sniffs fused per datagram, no staging.
-    for (std::size_t di = 0; di < n_packets; ++di) {
-      const BytesView payload = packets.payload(di);
-      const auto d32 = static_cast<std::uint32_t>(di);
-      for_each_anchor(payload, options_,
-                      [&](std::uint32_t off, std::uint8_t mask) {
-                        emit_at(payload, d32, off, mask, options_, st);
-                      });
-    }
   } else {
     // Node graph: demux → prefilter → scan, one fixed-size vector at a
     // time. Each node runs its loop over the whole chunk before the
@@ -437,10 +419,7 @@ std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
 
       // Demux node: drop empty payloads (nothing to scan), prefetch
       // upcoming payload heads. Unrolled loop: kDemuxUnroll descriptors
-      // per iteration keeps the loads' latencies overlapped. The width
-      // is a compile-time ablation knob (-DRTCC_DEMUX_UNROLL=2|4, see
-      // EXPERIMENTS.md); the emitted descriptor order is identical at
-      // every width, so analyses stay byte-identical across the sweep.
+      // per iteration keeps the loads' latencies overlapped.
       scratch.scannable.clear();
       std::size_t di = base;
       for (; di + kDemuxUnroll <= end; di += kDemuxUnroll) {

@@ -7,7 +7,7 @@
 // code/data working sets, evicting each other's branch and cache state
 // every few hundred instructions. Instead, the pipeline moves whole
 // *vectors* of packet descriptors through one node at a time: each node
-// runs its loop over up to batch_size() packets before the next node
+// runs its loop over up to kBatchSize packets before the next node
 // starts, so its code, lookup tables and branch history stay hot for
 // the whole vector.
 //
@@ -20,14 +20,9 @@
 // while processing packet i (software pipelining; the prefetch distance
 // covers roughly the per-packet node work).
 //
-// batch_size() is the process-wide vector length: default 256 (the VPP
-// frame size; big enough to amortize per-vector overhead, small enough
-// that 256 descriptors + staged per-vector state stay L2-resident),
-// overridable with the RTCC_BATCH env knob and at runtime with
-// set_batch_size / BatchModeGuard. Size 1 selects the legacy
-// one-datagram-at-a-time path, kept (like RTCC_ARENA=0) as the
-// full-matrix equivalence oracle — both paths produce byte-identical
-// analyses, enforced by testkit batch-parity oracles.
+// The vector length is a fixed kBatchSize = 256 (the VPP frame size;
+// big enough to amortize per-vector overhead, small enough that 256
+// descriptors + staged per-vector state stay L2-resident).
 #pragma once
 
 #include <cstddef>
@@ -38,28 +33,11 @@
 
 namespace rtcc::net {
 
-/// Process-wide pipeline vector length (>= 1). Initialised once from
-/// RTCC_BATCH (unset / unparseable / < 1 -> 256).
-[[nodiscard]] std::size_t batch_size();
-/// Runtime override (tests, benches, oracles); values < 1 clamp to 1.
-/// Returns the size actually applied.
-std::size_t set_batch_size(std::size_t size);
+/// Pipeline vector length: packets per node pass.
+inline constexpr std::size_t kBatchSize = 256;
 
-constexpr std::size_t kDefaultBatchSize = 256;
-
-/// RAII batch-size flip used by equivalence tests and A/B benchmarks.
-class BatchModeGuard {
- public:
-  explicit BatchModeGuard(std::size_t size) : prev_(batch_size()) {
-    set_batch_size(size);
-  }
-  ~BatchModeGuard() { set_batch_size(prev_); }
-  BatchModeGuard(const BatchModeGuard&) = delete;
-  BatchModeGuard& operator=(const BatchModeGuard&) = delete;
-
- private:
-  std::size_t prev_;
-};
+/// The vector length as a function, for callers that report it.
+[[nodiscard]] constexpr std::size_t batch_size() { return kBatchSize; }
 
 /// Hint-prefetch the cache line at `p` (read intent, moderate locality).
 /// No-op where the builtin is unavailable; never faults on any address.
@@ -71,18 +49,13 @@ inline void prefetch(const void* p) {
 #endif
 }
 
-/// How many packets ahead node loops prefetch payload heads.
-/// Compile-time tunable (-DRTCC_PREFETCH_AHEAD=n) for the ablation
-/// sweep in EXPERIMENTS.md; the {2,4,8,16} x unroll sweep moved the
-/// macro scan < +-6% (within box noise), so 4 stays as the default.
-#ifndef RTCC_PREFETCH_AHEAD
-#define RTCC_PREFETCH_AHEAD 4
-#endif
-constexpr std::size_t kPrefetchAhead = RTCC_PREFETCH_AHEAD;
+/// How many packets ahead node loops prefetch payload heads. A
+/// {2,4,8,16} sweep moved the macro scan < +-6% (within box noise).
+inline constexpr std::size_t kPrefetchAhead = 4;
 
 /// SoA descriptor vector for one stream's datagrams: parallel arrays
 /// indexed by packet position. Payload bytes are *borrowed* (arena slab
-/// or legacy frame buffers) and must outlive the batch.
+/// or reassembly buffers) and must outlive the batch.
 struct PacketBatch {
   std::vector<const std::uint8_t*> data;
   std::vector<std::uint32_t> len;

@@ -1,17 +1,15 @@
-// Streaming call-corpus pipeline.
+// Streaming call-corpus pipeline: the one runner of the paper's
+// experiment matrix.
 //
-// run_experiment (metrics.hpp) materializes one CallAnalysis per call
-// and lets each call's multi-megabyte trace die inside its task — but
-// it offers no visibility into, or bound on, how many traces are alive
-// at once. run_corpus makes that bound explicit: calls are generated →
-// grouped → filtered → DPI-analyzed on the shared work-stealing pool
-// with at most `max_live_traces` traces in memory simultaneously
-// (a condition-variable gate admits new generations as finished calls
-// release their slot), and the result carries the memory/throughput
+// Calls are generated → grouped → filtered → DPI-analyzed, one task
+// per call, on the shared work-stealing pool (or serially), with at
+// most `max_live_traces` traces in memory simultaneously (a
+// condition-variable gate admits new generations as finished calls
+// release their slot). The result carries the memory/throughput
 // counters the paper-scale 90-call corpus is judged on: peak
 // concurrently-live trace bytes, process peak RSS, and end-to-end
-// MB/s. Aggregates are merged app-major, so the per-app analyses are
-// bit-identical to run_experiment over the same matrix.
+// MB/s. Aggregates are merged app-major, so they are independent of
+// scheduling; run_experiment is the per-app view of the same run.
 #pragma once
 
 #include <map>
@@ -25,7 +23,7 @@ namespace rtcc::report {
 struct CorpusOptions {
   /// The call matrix, analysis options, and exec mode. kSerial runs
   /// the whole pipeline on the calling thread (the gate degenerates to
-  /// max_live_traces = 1); kWave is treated as kPooled here.
+  /// max_live_traces = 1).
   ExperimentConfig experiment;
   /// Upper bound on traces alive at once. 0 = 2x the pool's worker
   /// count (workers stay busy while the next generation is admitted)
@@ -86,6 +84,11 @@ struct CorpusResult {
 };
 
 [[nodiscard]] CorpusResult run_corpus(const CorpusOptions& opts = {});
+
+/// The paper's experiment matrix (apps × network configs × repeats),
+/// merged per app: run_corpus({.experiment = cfg}).per_app.
+[[nodiscard]] std::map<rtcc::emul::AppId, CallAnalysis> run_experiment(
+    const ExperimentConfig& cfg);
 
 /// experiment_config_from_env() wrapped for corpus runs: same RTCC_*
 /// knobs, but repeats defaults to 5 (6 apps x 3 networks x 5 = the

@@ -1,12 +1,8 @@
 #include "report/metrics.hpp"
 
-#include <cstdlib>
-#include <future>
+#include <algorithm>
 #include <limits>
-#include <thread>
 
-#include "net/flow_hash.hpp"
-#include "report/shard.hpp"
 #include "stream/engine.hpp"
 #include "util/env_knob.hpp"
 #include "util/thread_pool.hpp"
@@ -15,9 +11,7 @@ namespace rtcc::report {
 
 using rtcc::compliance::CheckedMessage;
 using rtcc::compliance::StreamComplianceChecker;
-using rtcc::dpi::DatagramAnalysis;
 using rtcc::dpi::ScanningDpi;
-using rtcc::dpi::StreamDatagram;
 
 std::size_t ProtocolStats::compliant_types() const {
   std::size_t n = 0;
@@ -43,29 +37,6 @@ std::uint64_t CallAnalysis::distribution_total() const {
 }
 
 namespace detail {
-
-TracePrelude analyze_trace_prelude(const rtcc::net::Trace& trace,
-                                   const rtcc::filter::FilterConfig& fcfg) {
-  TracePrelude pre;
-  CallAnalysis& out = pre.base;
-  out.raw_bytes = trace.total_bytes();
-
-  pre.table = rtcc::net::group_streams(trace);
-  out.raw_udp_streams = pre.table.udp_stream_count();
-  out.raw_udp_datagrams = pre.table.udp_datagram_count();
-  out.raw_tcp_streams = pre.table.tcp_stream_count();
-  out.raw_tcp_segments = pre.table.tcp_segment_count();
-
-  pre.report = rtcc::filter::run_pipeline(trace, pre.table, fcfg);
-  out.ingest = pre.report.ingest;
-  out.stage1_udp = pre.report.stage1_udp;
-  out.stage2_udp = pre.report.stage2_udp;
-  out.stage1_tcp = pre.report.stage1_tcp;
-  out.stage2_tcp = pre.report.stage2_tcp;
-  out.rtc_udp = pre.report.rtc_udp;
-  out.rtc_tcp = pre.report.rtc_tcp;
-  return pre;
-}
 
 void decode_stream_chunk(const rtcc::net::Trace& trace,
                          const rtcc::net::StreamTable& table,
@@ -100,7 +71,7 @@ void analyze_stream_batch(const rtcc::dpi::ScanningDpi& dpi,
                           const rtcc::compliance::ComplianceConfig& ccfg,
                           const rtcc::net::PacketBatch& batch,
                           CallAnalysis& part) {
-  const std::size_t bsz = rtcc::net::batch_size();
+  constexpr std::size_t bsz = rtcc::net::kBatchSize;
   const auto analyses = dpi.analyze_batch(batch, &part.nodes);
 
   // Compliance node, phase 1: observe every extracted message to
@@ -161,85 +132,65 @@ void analyze_stream_batch(const rtcc::dpi::ScanningDpi& dpi,
 
 }  // namespace detail
 
-namespace {
-
-/// Shard count an analysis actually runs with: the per-call override,
-/// else the global RTCC_SHARDS knob; forced to 1 (unsharded) when
-/// parallelism is off entirely (RTCC_PARALLEL=0 means fully serial).
-std::size_t effective_shards(const AnalysisOptions& opts) {
-  if (!opts.parallel_streams) return 1;
-  return opts.shards != 0 ? opts.shards : shard_count();
-}
-
-}  // namespace
-
 CallAnalysis analyze_trace(const rtcc::net::Trace& trace,
                            const rtcc::filter::FilterConfig& fcfg,
                            const AnalysisOptions& opts,
                            std::vector<CallAnalysis>* per_stream) {
   // RTCC_STREAM=1 routes through the one-pass engine (DESIGN.md §6c);
-  // the batch path below stays live as its equivalence oracle, like
-  // RTCC_ARENA=0 / RTCC_BATCH=1 / RTCC_SHARDS=1.
+  // the batch path below stays live as its equivalence oracle.
   if (rtcc::stream::stream_enabled())
     return rtcc::stream::analyze_trace_streaming(
         trace, fcfg, opts, rtcc::stream::stream_options_from_env(),
         per_stream);
-  auto pre = detail::analyze_trace_prelude(trace, fcfg);
-  CallAnalysis out = std::move(pre.base);
-  const auto& table = pre.table;
+
+  // Grouping and the two-stage filter see the whole trace (stage 2
+  // draws cross-stream evidence from removed streams) before the
+  // per-stream hot path fans out.
+  CallAnalysis out;
+  out.raw_bytes = trace.total_bytes();
+  const auto table = rtcc::net::group_streams(trace);
+  out.raw_udp_streams = table.udp_stream_count();
+  out.raw_udp_datagrams = table.udp_datagram_count();
+  out.raw_tcp_streams = table.tcp_stream_count();
+  out.raw_tcp_segments = table.tcp_segment_count();
+
+  const auto report = rtcc::filter::run_pipeline(trace, table, fcfg);
+  out.ingest = report.ingest;
+  out.stage1_udp = report.stage1_udp;
+  out.stage2_udp = report.stage2_udp;
+  out.stage1_tcp = report.stage1_tcp;
+  out.stage2_tcp = report.stage2_tcp;
+  out.rtc_udp = report.rtc_udp;
+  out.rtc_tcp = report.rtc_tcp;
 
   // Streams are independent (all validation heuristics and compliance
   // context are stream-scoped), so each one fills its own partial.
-  // Partials merge in a fixed order — stream order below, shard order
-  // on the sharded path — and merge() is order-insensitive, so output
-  // is identical across the serial loop, the pool, and every shard
-  // count.
-  const auto& rtc_streams = pre.report.rtc_udp_streams;
+  // Partials merge in stream order and merge() is order-insensitive,
+  // so output is identical on the serial loop and the pool.
+  const auto& rtc_streams = report.rtc_udp_streams;
   std::vector<CallAnalysis> partials(rtc_streams.size());
-  const std::size_t nshards = effective_shards(opts);
+  const ScanningDpi dpi(opts.scan);
+  const auto analyze_one_stream = [&](std::size_t si) {
+    const auto& stream = table.streams[rtc_streams[si]];
+    CallAnalysis& part = partials[si];
+    constexpr std::size_t bsz = rtcc::net::kBatchSize;
+    const std::size_t n = stream.packets.size();
+    rtcc::net::PacketBatch batch;
+    batch.reserve(n);
+    for (std::size_t base = 0; base < n; base += bsz)
+      detail::decode_stream_chunk(trace, table, stream, base,
+                                  std::min(n, base + bsz), batch, part);
+    detail::analyze_stream_batch(dpi, opts.compliance, batch, part);
+  };
 
-  if (nshards > 1 && !rtc_streams.empty()) {
-    // Flow-sharded path (DESIGN.md §7): this thread is the producer,
-    // decoding each stream into chunks and routing whole streams to
-    // shard workers by symmetric 5-tuple hash.
-    ShardedPipeline::Options popts;
-    popts.shards = nshards;
-    popts.scan = opts.scan;
-    popts.compliance = opts.compliance;
-    ShardedPipeline pipe(popts);
-    std::vector<std::size_t> routed(rtc_streams.size());
-    for (std::size_t si = 0; si < rtc_streams.size(); ++si)
-      routed[si] = pipe.submit_stream(trace, table,
-                                      table.streams[rtc_streams[si]],
-                                      &partials[si]);
-    pipe.finish();
-    for (std::size_t s = 0; s < pipe.shards(); ++s)
-      for (std::size_t si = 0; si < rtc_streams.size(); ++si)
-        if (routed[si] == s) merge(out, partials[si]);
+  if (opts.parallel_streams && rtc_streams.size() > 1) {
+    rtcc::util::ThreadPool::shared().parallel_for(rtc_streams.size(),
+                                                  analyze_one_stream);
   } else {
-    const ScanningDpi dpi(opts.scan);
-    const auto analyze_one_stream = [&](std::size_t si) {
-      const auto& stream = table.streams[rtc_streams[si]];
-      CallAnalysis& part = partials[si];
-      const std::size_t bsz = rtcc::net::batch_size();
-      const std::size_t n = stream.packets.size();
-      rtcc::net::PacketBatch batch;
-      batch.reserve(n);
-      for (std::size_t base = 0; base < n; base += bsz)
-        detail::decode_stream_chunk(trace, table, stream, base,
-                                    std::min(n, base + bsz), batch, part);
-      detail::analyze_stream_batch(dpi, opts.compliance, batch, part);
-    };
-
-    if (opts.parallel_streams && rtc_streams.size() > 1) {
-      rtcc::util::ThreadPool::shared().parallel_for(rtc_streams.size(),
-                                                    analyze_one_stream);
-    } else {
-      for (std::size_t si = 0; si < rtc_streams.size(); ++si)
-        analyze_one_stream(si);
-    }
-    for (const auto& part : partials) merge(out, part);
+    for (std::size_t si = 0; si < rtc_streams.size(); ++si)
+      analyze_one_stream(si);
   }
+  for (const auto& part : partials) merge(out, part);
   if (per_stream != nullptr) *per_stream = std::move(partials);
   return out;
 }
@@ -299,83 +250,10 @@ void merge(CallAnalysis& into, const CallAnalysis& from) {
   }
 }
 
-std::map<rtcc::emul::AppId, CallAnalysis> run_experiment(
-    const ExperimentConfig& cfg) {
-  // Enumerate the full call matrix up front so the parallel path can
-  // dispatch one task per call while keeping a deterministic merge
-  // order (app-major, then network, then repeat).
-  struct Job {
-    rtcc::emul::AppId app;
-    rtcc::emul::CallConfig call_cfg;
-  };
-  std::vector<Job> jobs;
-  for (auto app : cfg.apps) {
-    for (auto network : cfg.networks) {
-      for (int repeat = 0; repeat < cfg.repeats; ++repeat) {
-        rtcc::emul::CallConfig call_cfg;
-        call_cfg.app = app;
-        call_cfg.network = network;
-        call_cfg.media_scale = cfg.media_scale;
-        call_cfg.call_s = cfg.call_s;
-        call_cfg.background = cfg.background;
-        call_cfg.seed = cfg.seed;
-        call_cfg.call_index = repeat;
-        jobs.push_back(Job{app, call_cfg});
-      }
-    }
-  }
-
-  auto run_one = [&cfg](const rtcc::emul::CallConfig& call_cfg) {
-    const auto call = rtcc::emul::emulate_call(call_cfg);
-    return analyze_call(call, cfg.analysis);
-  };
-
-  std::vector<CallAnalysis> results(jobs.size());
-  switch (jobs.size() > 1 ? cfg.exec : ExecMode::kSerial) {
-    case ExecMode::kSerial:
-      for (std::size_t i = 0; i < jobs.size(); ++i)
-        results[i] = run_one(jobs[i].call_cfg);
-      break;
-    case ExecMode::kWave: {
-      // Legacy dispatch, kept as the benchmark baseline: core-count
-      // waves of std::async with a barrier per wave, so one slow call
-      // (relay-mode Zoom with filler bursts) idles the rest of its
-      // wave.
-      const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-      for (std::size_t base = 0; base < jobs.size(); base += hw) {
-        const std::size_t end = std::min(jobs.size(), base + hw);
-        std::vector<std::future<CallAnalysis>> futures;
-        for (std::size_t i = base; i < end; ++i)
-          futures.push_back(
-              std::async(std::launch::async, run_one, jobs[i].call_cfg));
-        for (std::size_t i = base; i < end; ++i)
-          results[i] = futures[i - base].get();
-      }
-      break;
-    }
-    case ExecMode::kPooled:
-      // Persistent work-stealing pool: the pool is bounded by the core
-      // count (each call allocates a multi-megabyte trace, so unbounded
-      // async would oversubscribe CPU and memory), and a finished
-      // worker immediately steals the next undone call.
-      rtcc::util::ThreadPool::shared().parallel_for(
-          jobs.size(),
-          [&](std::size_t i) { results[i] = run_one(jobs[i].call_cfg); });
-      break;
-  }
-
-  std::map<rtcc::emul::AppId, CallAnalysis> out;
-  for (std::size_t i = 0; i < jobs.size(); ++i)
-    merge(out[jobs[i].app], results[i]);
-  return out;
-}
-
 std::string to_string(ExecMode m) {
   switch (m) {
     case ExecMode::kSerial:
       return "serial";
-    case ExecMode::kWave:
-      return "wave";
     case ExecMode::kPooled:
       return "pooled";
   }
@@ -392,8 +270,8 @@ ExperimentConfig experiment_config_from_env() {
       "RTCC_SEED", static_cast<long long>(cfg.seed), 0,
       std::numeric_limits<long long>::max()));
   // RTCC_PARALLEL=0/false/off forces fully serial execution (calls,
-  // per-call streams, and flow sharding); results are identical either
-  // way — the knob only changes dispatch. A value outside the boolean
+  // per-call streams, and the streaming engine's shard workers);
+  // results are identical either way — the knob only changes dispatch. A value outside the boolean
   // grammar warns and keeps the pooled default (it used to silently
   // parse as 0 and go serial).
   if (!rtcc::util::env_knob_bool("RTCC_PARALLEL", true)) {

@@ -20,13 +20,16 @@ struct AnalysisOptions {
   rtcc::compliance::ComplianceConfig compliance;
   /// Analyze a call's RTC UDP streams concurrently on the shared
   /// thread pool. Per-stream partial results merge in stream order, so
-  /// output is identical to the serial loop. false also disables flow
-  /// sharding (RTCC_PARALLEL=0 means fully serial).
+  /// output is identical to the serial loop. false also keeps the
+  /// streaming engine off its shard workers (RTCC_PARALLEL=0 means
+  /// fully serial).
   bool parallel_streams = true;
-  /// Flow-shard worker count for this analysis. 0 defers to the global
-  /// RTCC_SHARDS knob (report/shard.hpp); 1 forces the unsharded path;
-  /// N > 1 routes streams to N shard workers by symmetric 5-tuple hash.
-  /// Output is bit-identical for every value (DESIGN.md §7).
+  /// Shard-worker count for the streaming engine (StreamingAnalyzer,
+  /// and analyze_trace under RTCC_STREAM=1); the batch path ignores it.
+  /// 0 defers to the global RTCC_SHARDS knob (report/shard.hpp); 1
+  /// analyzes flows inline; N > 1 routes flows to N shard workers by
+  /// symmetric 5-tuple hash. Output is bit-identical for every value
+  /// (DESIGN.md §7).
   std::size_t shards = 0;
 };
 
@@ -49,7 +52,7 @@ struct ProtocolStats {
   [[nodiscard]] std::size_t total_types() const { return types.size(); }
 };
 
-/// Per-shard work accounting for the flow-sharded pipeline
+/// Per-shard work accounting for the streaming engine's shard workers
 /// (report/shard.hpp). Diagnostic, like PipelineCounters: the split
 /// depends on RTCC_SHARDS, so equivalence signatures and the parity
 /// oracles exclude it (the report JSON surfaces it under "shards").
@@ -125,15 +128,16 @@ struct CallAnalysis {
   // --- Vector-pipeline diagnostics (DESIGN.md §6) ---
   // Per-node vectors/packets/suspended tallies from the batched
   // decode → demux → prefilter → scan → compliance graph. Diagnostic
-  // only: vectors depends on RTCC_BATCH, so equivalence signatures
-  // exclude these (the report JSON surfaces them under "nodes").
+  // only: the prefilter's staged lanes depend on RTCC_SIMD, so
+  // equivalence signatures exclude these (the report JSON surfaces
+  // them under "nodes").
   rtcc::dpi::PipelineCounters nodes;
 
   // --- Flow-sharding diagnostics (DESIGN.md §7) ---
-  // One row per shard worker, filled only by the sharded path. Each
-  // per-stream partial carries a full-width vector with only its own
-  // shard's row populated, so merge() aggregates per-shard totals at
-  // every level. Empty on the unsharded path.
+  // One row per shard worker, filled only by the streaming engine's
+  // sharded path. Each per-stream partial carries a full-width vector
+  // with only its own shard's row populated, so merge() aggregates
+  // per-shard totals at every level. Empty on every other path.
   std::vector<ShardStat> shards;
 
   // --- Streaming-engine diagnostics (DESIGN.md §6c) ---
@@ -172,13 +176,11 @@ struct CallAnalysis {
 
 void merge(CallAnalysis& into, const CallAnalysis& from);
 
-/// How run_experiment dispatches the per-call tasks. All three produce
+/// How run_corpus dispatches the per-call tasks. Both produce
 /// bit-identical results (fixed app-major merge order); they differ
-/// only in wall-clock. kWave is kept as the ablation baseline for the
-/// pool benchmarks.
+/// only in wall-clock.
 enum class ExecMode : std::uint8_t {
   kSerial,  // one call at a time on the calling thread
-  kWave,    // core-count-sized std::async waves with a barrier per wave
   kPooled,  // persistent work-stealing pool (util/thread_pool.hpp)
 };
 
@@ -194,14 +196,11 @@ struct ExperimentConfig {
   bool background = true;
   std::uint64_t seed = 42;
   /// Emulate+analyze calls concurrently (one task per call). Results
-  /// are merged in a fixed order, so every mode produces identical
+  /// are merged in a fixed order, so both modes produce identical
   /// aggregates.
   ExecMode exec = ExecMode::kPooled;
   AnalysisOptions analysis;
 };
-
-[[nodiscard]] std::map<rtcc::emul::AppId, CallAnalysis> run_experiment(
-    const ExperimentConfig& cfg);
 
 /// Reads the RTCC_* env vars (RTCC_SCALE, RTCC_REPEATS, RTCC_SEED,
 /// RTCC_PARALLEL; see EXPERIMENTS.md) so benches can be sped up or made
@@ -210,23 +209,10 @@ struct ExperimentConfig {
 
 namespace detail {
 
-/// The single-threaded front of analyze_trace: grouping + two-stage
-/// filter, which must see the whole trace (stage 2 draws cross-stream
-/// evidence from removed streams), before the per-stream hot path
-/// fans out. Shared by the pooled path and the sharded corpus producer.
-struct TracePrelude {
-  CallAnalysis base;               // stage stats + ingest, no stream work
-  rtcc::net::StreamTable table;    // owns reassembled payload buffers
-  rtcc::filter::FilterReport report;
-};
-
-[[nodiscard]] TracePrelude analyze_trace_prelude(
-    const rtcc::net::Trace& trace, const rtcc::filter::FilterConfig& fcfg);
-
 /// Decode node over one batch-sized chunk of a stream: resolves packet
 /// descriptors [base, end) into the SoA batch and books the decode
-/// counters into `part`. Identical code on the pooled and sharded
-/// paths, so node counters are shard-invariant.
+/// counters into `part`. The decode node of analyze_trace's
+/// per-stream loop.
 void decode_stream_chunk(const rtcc::net::Trace& trace,
                          const rtcc::net::StreamTable& table,
                          const rtcc::net::Stream& stream, std::size_t base,

@@ -85,59 +85,18 @@ ShardedPipeline::~ShardedPipeline() {
   }
 }
 
-std::size_t ShardedPipeline::submit_stream(
-    const rtcc::net::Trace& trace, const rtcc::net::StreamTable& table,
-    const rtcc::net::Stream& stream, CallAnalysis* partial,
-    std::shared_ptr<const void> keepalive) {
-  const std::size_t target = rtcc::net::shard_of(stream.key, workers_.size());
-  auto& ring = workers_[target]->ring;
-  const std::size_t bsz = rtcc::net::batch_size();
-  const std::size_t n = stream.packets.size();
-  const std::uint64_t slot = next_slot_++;
-
-  if (n == 0) {
-    // Degenerate stream: one empty last chunk so the shard still fills
-    // the partial (and releases the keepalive). Matches the unsharded
-    // path, whose chunk loop books nothing for an empty stream.
-    WorkItem item;
-    item.slot = slot;
-    item.last = true;
-    item.partial = partial;
-    item.keepalive = std::move(keepalive);
-    ring.push(std::move(item));
-    return target;
-  }
-
-  for (std::size_t base = 0; base < n; base += bsz) {
-    const std::size_t end = std::min(n, base + bsz);
-    WorkItem item;
-    item.slot = slot;
-    item.batch.reserve(end - base);
-    // Decode counters land in *partial from the producer thread; the
-    // shard reads the partial only after popping the last chunk, and
-    // the ring's release/acquire pair orders these bookings before it.
-    detail::decode_stream_chunk(trace, table, stream, base, end, item.batch,
-                                *partial);
-    item.last = end == n;
-    if (item.last) {
-      item.partial = partial;
-      item.keepalive = std::move(keepalive);
-    }
-    ring.push(std::move(item));
-  }
-  return target;
-}
-
 std::size_t ShardedPipeline::submit_batch(
     const rtcc::net::FlowKey& key, const rtcc::net::PacketBatch& batch,
     CallAnalysis* partial, std::shared_ptr<const void> keepalive) {
   const std::size_t target = rtcc::net::shard_of(key, workers_.size());
   auto& ring = workers_[target]->ring;
-  const std::size_t bsz = rtcc::net::batch_size();
+  constexpr std::size_t bsz = rtcc::net::kBatchSize;
   const std::size_t n = batch.size();
   const std::uint64_t slot = next_slot_++;
 
   if (n == 0) {
+    // Degenerate flow: one empty last chunk so the shard still fills
+    // the partial (and releases the keepalive).
     WorkItem item;
     item.slot = slot;
     item.last = true;

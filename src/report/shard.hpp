@@ -1,9 +1,9 @@
-// Flow-sharded execution mode for the analysis hot path (DESIGN.md §7).
+// Flow-sharded workers behind the streaming engine (DESIGN.md §7).
 //
 // The paper's per-stream analysis is embarrassingly parallel at the
 // flow level: every compliance verdict is computed per 5-tuple stream.
 // ShardedPipeline exploits that the way RSS NICs and VPP-class stacks
-// do — a symmetric 5-tuple hash (net/flow_hash.hpp) routes each stream
+// do — a symmetric 5-tuple hash (net/flow_hash.hpp) routes each flow
 // to one of N shard workers over a bounded SPSC ring
 // (util/spsc_ring.hpp), and each shard owns private state: its pending
 // flow table, its ScanningDpi engine and scan scratch, its compliance
@@ -11,14 +11,17 @@
 // takes no locks and touches no shared atomics beyond the two ring
 // indices.
 //
-// Determinism: per-stream partials are computed by the exact same
-// per-stream core as the unsharded path (report::detail), batching is
-// per-stream (so node counters cannot see the shard count), and
-// partials merge in fixed shard order via the existing merge() — whose
-// order-insensitivity PR 5's merge-order oracle pins. Output is
-// therefore bit-identical for every shard count; RTCC_SHARDS=1 keeps
-// the unsharded path alive as the equivalence oracle, the same pattern
-// as RTCC_ARENA=0 and RTCC_BATCH=1.
+// Its one consumer is stream::StreamingAnalyzer (submit_batch). Batch
+// analysis has no sharded path: it lost to the work-stealing pool on
+// both the corpus and a single large capture (DESIGN.md §7).
+//
+// Determinism: per-flow partials are computed by the exact same
+// per-stream core as the batch path (report::detail), batching is
+// per-flow (so node counters cannot see the shard count), and the
+// engine merges partials in a fixed order via merge() — whose
+// order-insensitivity the metamorphic merge-order oracle pins. Output
+// is therefore bit-identical for every shard count and to the batch
+// path (testkit's check_shard_parity).
 #pragma once
 
 #include <cstddef>
@@ -38,7 +41,8 @@ inline constexpr std::size_t kMaxShards = 64;
 /// unset or "auto".
 inline constexpr std::size_t kAutoShards = 0;
 
-/// Effective shard count: the configured value, or (when auto) the
+/// Effective shard count of the streaming engine (RTCC_SHARDS; batch
+/// analysis never shards): the configured value, or (when auto) the
 /// hardware concurrency clamped to [1, kMaxShards]. Always >= 1.
 [[nodiscard]] std::size_t shard_count();
 
@@ -50,7 +54,7 @@ inline constexpr std::size_t kAutoShards = 0;
 /// Values above kMaxShards clamp.
 std::size_t set_shard_count(std::size_t count);
 
-/// RAII pin for tests/benches, mirroring net::BatchModeGuard.
+/// RAII pin for tests/benches, mirroring stream::StreamModeGuard.
 class ShardModeGuard {
  public:
   explicit ShardModeGuard(std::size_t count)
@@ -66,19 +70,19 @@ class ShardModeGuard {
 };
 
 /// N shard workers behind per-shard SPSC rings. Single-producer: one
-/// thread (the caller) decodes streams into PacketBatch chunks and
-/// submits them; whole streams are routed by flow hash, so a shard
-/// sees every chunk of each stream it owns, accumulates them in its
+/// thread (the caller) submits whole-flow PacketBatches, which are
+/// routed by flow hash and cut into batch-sized chunks, so a shard
+/// sees every chunk of each flow it owns, accumulates them in its
 /// private pending table, and runs DPI + compliance when the last
-/// chunk arrives. The pipeline is reusable across many traces (the
-/// sharded corpus keeps one alive for the whole run).
+/// chunk arrives. The pipeline is reusable across many captures (an
+/// rtccd engine keeps one alive for its whole life).
 class ShardedPipeline {
  public:
   struct Options {
     std::size_t shards = 2;
     /// Ring slots per shard (rounded up to a power of two). Sized so a
     /// burst of chunks for one shard doesn't stall the producer, while
-    /// bounding in-flight memory to O(shards * depth * batch_size).
+    /// bounding in-flight memory to O(shards * depth * kBatchSize).
     std::size_t ring_depth = 64;
     rtcc::dpi::ScanOptions scan;
     rtcc::compliance::ComplianceConfig compliance;
@@ -89,27 +93,15 @@ class ShardedPipeline {
   ShardedPipeline(const ShardedPipeline&) = delete;
   ShardedPipeline& operator=(const ShardedPipeline&) = delete;
 
-  /// Decodes `stream` into batch-sized chunks and hands them to the
-  /// owning shard, which fills `*partial` (and its own row of
-  /// partial->shards) once the last chunk lands. `partial` must stay
-  /// valid and untouched until finish(); `keepalive` (optional) is
-  /// released by the shard after the stream is analyzed — the sharded
-  /// corpus uses it to pin the trace + stream table and free its
-  /// live-trace slot. Returns the shard index the stream was routed
-  /// to, which callers use to merge partials in fixed shard order.
-  /// Producer thread only.
-  std::size_t submit_stream(const rtcc::net::Trace& trace,
-                            const rtcc::net::StreamTable& table,
-                            const rtcc::net::Stream& stream,
-                            CallAnalysis* partial,
-                            std::shared_ptr<const void> keepalive = {});
-
-  /// Pre-decoded variant for the streaming engine: hands a whole-flow
-  /// batch (already resolved payload descriptors, decode counters
-  /// already booked into `*partial` by the caller) to the shard owning
-  /// `key`, chunked by batch_size() so the shard's handoff accounting
-  /// is byte-identical to submit_stream's. `keepalive` must pin the
-  /// payload bytes the batch views. Producer thread only.
+  /// Hands a whole-flow batch (already resolved payload descriptors,
+  /// decode counters already booked into `*partial` by the caller) to
+  /// the shard owning `key`, chunked by kBatchSize. The shard fills
+  /// `*partial` (and its own row of partial->shards) once the last
+  /// chunk lands; `partial` must stay valid and untouched until the
+  /// keepalive is released or finish() returns. `keepalive` must pin
+  /// the payload bytes the batch views; the shard releases it after
+  /// the flow is analyzed. Returns the shard index the flow was routed
+  /// to. Producer thread only.
   std::size_t submit_batch(const rtcc::net::FlowKey& key,
                            const rtcc::net::PacketBatch& batch,
                            CallAnalysis* partial,

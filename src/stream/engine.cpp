@@ -17,9 +17,9 @@ using rtcc::report::CallAnalysis;
 
 namespace {
 
-/// Mirrors the private effective_shards in report/metrics.cpp: the
-/// per-call override, else the global RTCC_SHARDS knob; forced to 1
-/// when parallelism is off entirely.
+/// Shard workers this engine runs: the per-call override, else the
+/// global RTCC_SHARDS knob; forced to 1 when parallelism is off
+/// entirely.
 std::size_t effective_shards(const rtcc::report::AnalysisOptions& opts) {
   if (!opts.parallel_streams) return 1;
   return opts.shards != 0 ? opts.shards : rtcc::report::shard_count();
@@ -204,8 +204,8 @@ void StreamingAnalyzer::analyze_record(FlowRecord& rec,
     if (fp.reasm) ++part.nodes.decode.suspended;
   }
   // Decode-node accounting replays decode_stream_chunk's bsz chunking,
-  // so node counters stay knob-consistent with the batch path.
-  const std::size_t bsz = rtcc::net::batch_size();
+  // so node counters stay consistent with the batch path.
+  constexpr std::size_t bsz = rtcc::net::kBatchSize;
   for (std::size_t base = 0; base < n; base += bsz) {
     ++part.nodes.decode.vectors;
     part.nodes.decode.packets += std::min(n, base + bsz) - base;

@@ -48,14 +48,15 @@ enum class MutatorFamily : std::uint8_t {
                                        rtcc::util::Rng& rng);
 
 /// Datagram counts straddling the vector-pipeline batch edges (empty
-/// stream, single datagram, default-batch-size ± 1 and the staging
+/// stream, single datagram, batch size ± 1 and the staging
 /// buffer's offset ceiling). The batch-boundary mutator cycles these.
 [[nodiscard]] const std::vector<std::size_t>& batch_boundary_counts();
 
 /// Stream-level mutator: tiles / truncates `seed` to exactly `count`
 /// datagrams (rotating the start so repeats differ across calls), so
-/// the batch and SIMD parity oracles hit full-, partial- and zero-sized
-/// final vectors. An empty seed yields an empty stream for any count.
+/// the scan-equivalence and SIMD parity oracles hit full-, partial- and
+/// zero-sized final vectors. An empty seed yields an empty stream for
+/// any count.
 [[nodiscard]] std::vector<rtcc::util::Bytes> mutate_batch_boundary(
     const std::vector<rtcc::util::Bytes>& seed, std::size_t count,
     rtcc::util::Rng& rng);

@@ -8,9 +8,7 @@
 #include "dpi/scanning_dpi.hpp"
 #include "dpi/strict_dpi.hpp"
 #include "dpi/simd_dispatch.hpp"
-#include "net/arena.hpp"
 #include "net/headers.hpp"
-#include "net/packet_batch.hpp"
 #include "net/pcap.hpp"
 #include "proto/demux.hpp"
 #include "proto/quic/quic.hpp"
@@ -411,41 +409,33 @@ std::optional<std::string> check_arena_parity(
     const std::vector<Bytes>& payloads) {
   const net::FrameSpec spec = oracle_frame_spec();
 
-  net::Trace arena_trace(/*use_arena=*/true);
-  net::Trace legacy_trace(/*use_arena=*/false);
+  // The two producers a trace's arena has: frames written in place
+  // (build_frame_arena, the emulator's path) and frames built into a
+  // temporary vector then copied onto the slab tail (add_frame).
+  net::Trace in_place;
+  net::Trace copied;
   std::size_t kept = 0;
   for (const auto& payload : payloads) {
     if (payload.size() > kMaxFramePayload) continue;
     const double ts = ts_for(kept++);
-    // The arena trace is built through the in-place arena writer, the
-    // legacy one through the temporary-vector builder — this doubles as
-    // the build_frame / build_frame_arena byte-parity check.
-    arena_trace.add_frame(
-        net::build_frame_arena(arena_trace.arena(), ts, spec, payload));
-    legacy_trace.add_frame(ts, net::build_frame(spec, payload));
+    in_place.add_frame(
+        net::build_frame_arena(in_place.arena(), ts, spec, payload));
+    copied.add_frame(ts, net::build_frame(spec, payload));
   }
-  if (auto err = compare_traces(arena_trace, legacy_trace, "arena", "legacy"))
+  if (auto err = compare_traces(in_place, copied, "in-place", "copied"))
     return "arena parity: " + *err;
 
-  const Bytes enc_arena = net::encode_pcap(arena_trace);
-  const Bytes enc_legacy = net::encode_pcap(legacy_trace);
-  if (enc_arena != enc_legacy)
-    return "arena parity: encode_pcap bytes differ between modes";
+  const Bytes enc = net::encode_pcap(in_place);
+  if (enc != net::encode_pcap(copied))
+    return "arena parity: encode_pcap bytes differ between producers";
 
-  std::optional<net::Trace> dec_arena;
-  std::optional<net::Trace> dec_legacy;
-  {
-    net::ArenaModeGuard guard(true);
-    dec_arena = net::decode_pcap(enc_arena);
-  }
-  {
-    net::ArenaModeGuard guard(false);
-    dec_legacy = net::decode_pcap(enc_arena);
-  }
-  if (!dec_arena || !dec_legacy)
+  // Decode agreement: copying decode vs zero-copy views over the bytes.
+  const auto dec_copy = net::decode_pcap(enc);
+  const auto dec_view = net::decode_pcap_zero_copy(enc);
+  if (!dec_copy || !dec_view)
     return "arena parity: decode_pcap failed on encoder output";
-  if (auto err = compare_traces(*dec_arena, *dec_legacy, "arena-decode",
-                                "legacy-decode"))
+  if (auto err = compare_traces(*dec_copy, *dec_view, "copy-decode",
+                                "zero-copy-decode"))
     return "arena parity: " + *err;
   return std::nullopt;
 }
@@ -645,31 +635,6 @@ std::optional<std::string> run_buffer_oracles(BytesView data) {
   return std::nullopt;
 }
 
-std::optional<std::string> check_batch_parity(
-    const std::vector<Bytes>& datagrams, std::size_t extra_size) {
-  const auto stream = as_stream(datagrams, /*alternate_dir=*/true);
-  const rtcc::dpi::ScanningDpi dpi;
-  std::vector<std::size_t> sizes = {1, rtcc::net::kDefaultBatchSize};
-  if (extra_size != 0) sizes.push_back(extra_size);
-  std::optional<std::vector<rtcc::dpi::DatagramAnalysis>> base;
-  std::size_t base_size = 0;
-  for (const std::size_t size : sizes) {
-    const rtcc::net::BatchModeGuard guard(size);
-    auto got = dpi.analyze_stream(stream);
-    if (!base) {
-      base = std::move(got);
-      base_size = size;
-      continue;
-    }
-    const std::string a_name = "batch=" + std::to_string(base_size);
-    const std::string b_name = "batch=" + std::to_string(size);
-    if (auto err = compare_analyses(*base, got, a_name.c_str(),
-                                    b_name.c_str()))
-      return "batch parity: " + *err;
-  }
-  return std::nullopt;
-}
-
 std::optional<std::string> check_simd_parity(
     const std::vector<Bytes>& datagrams) {
   const auto stream = as_stream(datagrams, /*alternate_dir=*/true);
@@ -737,6 +702,25 @@ std::string mode_invariant_json(rtcc::report::CallAnalysis a) {
   return rtcc::report::to_json(a);
 }
 
+/// First difference between a streaming run and the batch reference:
+/// the merged report, then each per-stream partial.
+std::optional<std::string> diff_from_batch(
+    const rtcc::report::CallAnalysis& got,
+    const std::vector<rtcc::report::CallAnalysis>& parts,
+    const std::string& ref_json,
+    const std::vector<rtcc::report::CallAnalysis>& ref_parts) {
+  if (mode_invariant_json(got) != ref_json)
+    return std::string("merged report differs from batch");
+  if (parts.size() != ref_parts.size())
+    return std::to_string(parts.size()) +
+           " per-stream partials, batch produced " +
+           std::to_string(ref_parts.size());
+  for (std::size_t si = 0; si < parts.size(); ++si)
+    if (mode_invariant_json(parts[si]) != mode_invariant_json(ref_parts[si]))
+      return "stream " + std::to_string(si) + " partial differs from batch";
+  return std::nullopt;
+}
+
 }  // namespace
 
 std::optional<std::string> check_shard_parity(
@@ -748,37 +732,26 @@ std::optional<std::string> check_shard_parity(
   const net::Trace trace = multi_flow_trace(datagrams);
   if (trace.size() == 0) return std::nullopt;
   const rtcc::filter::FilterConfig fcfg = keep_all_filter_config();
-  const auto& strip = mode_invariant_json;
 
+  // Batch reference with the streaming knob pinned off, so the oracle
+  // stays the authority when the whole suite runs under RTCC_STREAM=1.
   rtcc::report::AnalysisOptions opts;
-  opts.shards = 1;
   std::vector<rtcc::report::CallAnalysis> ref_parts;
-  const auto ref = rtcc::report::analyze_trace(trace, fcfg, opts, &ref_parts);
-  const std::string ref_json = strip(ref);
+  std::string ref_json;
+  {
+    const rtcc::stream::StreamModeGuard off(false);
+    ref_json = mode_invariant_json(
+        rtcc::report::analyze_trace(trace, fcfg, opts, &ref_parts));
+  }
 
   for (const std::size_t count : {std::size_t{2}, std::size_t{3},
                                   std::size_t{8}}) {
     opts.shards = count;
     std::vector<rtcc::report::CallAnalysis> parts;
-    const auto got = rtcc::report::analyze_trace(trace, fcfg, opts, &parts);
-    std::ostringstream err;
-    if (strip(got) != ref_json) {
-      err << "shard parity: merged report at " << count
-          << " shards differs from the unsharded path";
-      return err.str();
-    }
-    if (parts.size() != ref_parts.size()) {
-      err << "shard parity: " << count << " shards produced " << parts.size()
-          << " per-stream partials, unsharded produced " << ref_parts.size();
-      return err.str();
-    }
-    for (std::size_t si = 0; si < parts.size(); ++si) {
-      if (strip(parts[si]) != strip(ref_parts[si])) {
-        err << "shard parity: stream " << si << " partial at " << count
-            << " shards differs from the unsharded path";
-        return err.str();
-      }
-    }
+    const auto got = rtcc::stream::analyze_trace_streaming(
+        trace, fcfg, opts, rtcc::stream::StreamOptions{}, &parts);
+    if (auto err = diff_from_batch(got, parts, ref_json, ref_parts))
+      return "shard parity at " + std::to_string(count) + " shards: " + *err;
   }
   return std::nullopt;
 }
@@ -815,22 +788,8 @@ std::optional<std::string> check_stream_parity(
         trace, fcfg, opts, rtcc::stream::StreamOptions{}, &parts);
     if (got.flows.flows_rekeyed != 0)
       return "stream parity: unbounded budgets split a flow";
-    if (strip(got) != ref_json)
-      return "stream parity: unbounded streaming merged report differs "
-             "from batch";
-    if (parts.size() != ref_parts.size()) {
-      std::ostringstream err;
-      err << "stream parity: streaming produced " << parts.size()
-          << " per-stream partials, batch produced " << ref_parts.size();
-      return err.str();
-    }
-    for (std::size_t si = 0; si < parts.size(); ++si)
-      if (strip(parts[si]) != strip(ref_parts[si])) {
-        std::ostringstream err;
-        err << "stream parity: stream " << si
-            << " partial differs from batch";
-        return err.str();
-      }
+    if (auto err = diff_from_batch(got, parts, ref_json, ref_parts))
+      return "stream parity: unbounded streaming: " + *err;
   }
 
   // 2. Chunked-reader sweep over the encoded capture: the read
@@ -934,7 +893,6 @@ std::optional<std::string> run_stream_oracles(
     const std::vector<Bytes>& datagrams) {
   if (auto err = check_scan_equivalence(datagrams))
     return "scan equivalence: " + *err;
-  if (auto err = check_batch_parity(datagrams)) return err;
   if (auto err = check_simd_parity(datagrams)) return err;
   if (auto err = check_arena_parity(datagrams)) return err;
   if (auto err = check_pcap_roundtrip(datagrams)) return err;

@@ -11,8 +11,9 @@
 //                              reference re-implementation.
 //   3. check_scan_equivalence— anchored ScanningDpi vs the naive
 //                              all-offsets oracle, byte-identical.
-//   4. check_arena_parity    — arena-backed vs legacy traces build and
-//                              serialize identically; pcap decode agrees.
+//   4. check_arena_parity    — in-place vs copied arena frames build and
+//                              serialize identically; copying and
+//                              zero-copy pcap decode agree.
 //   5. check_pcap_roundtrip  — encode→decode→encode is a fixed point.
 //   6. check_strict_subset   — on clean seed streams, every datagram the
 //                              strict DPI accepts is classified standard
@@ -67,26 +68,19 @@ namespace rtcc::testkit {
 [[nodiscard]] std::optional<std::string> check_frame_decode(
     rtcc::util::BytesView frame);
 
-/// Batched (vector) extraction vs the per-datagram path: analyses must
-/// be byte-identical for any stream, at any batch size. Runs the full
-/// scanner once per distinct size in {1, default} plus `extra_size`
-/// when non-zero (the driver passes boundary-straddling sizes).
-[[nodiscard]] std::optional<std::string> check_batch_parity(
-    const std::vector<rtcc::util::Bytes>& datagrams,
-    std::size_t extra_size = 0);
-
 /// Every *supported* SIMD level against the scalar path: identical
 /// compliance signatures datagram-for-datagram. Unsupported levels are
 /// skipped (never a failure) so the oracle is portable.
 [[nodiscard]] std::optional<std::string> check_simd_parity(
     const std::vector<rtcc::util::Bytes>& datagrams);
 
-/// Flow-sharded analyze_trace vs the unsharded path: the datagrams are
-/// spread across several bidirectional flows and analyzed at shard
-/// counts {1, 2, 3, 8}; the merged report and every per-stream partial
-/// must be byte-identical (after dropping the knob-dependent "shards"
-/// diagnostic) at every count. The live equivalence oracle behind
-/// RTCC_SHARDS (DESIGN.md §7).
+/// The streaming engine's shard workers vs the unsharded batch path:
+/// the datagrams are spread across several bidirectional flows and
+/// analyzed by analyze_trace_streaming at shard counts {2, 3, 8}; the
+/// merged report and every per-stream partial must be byte-identical
+/// (after dropping the knob-dependent "shards"/"flows" diagnostics) at
+/// every count. The live equivalence oracle behind RTCC_SHARDS
+/// (DESIGN.md §7).
 [[nodiscard]] std::optional<std::string> check_shard_parity(
     const std::vector<rtcc::util::Bytes>& datagrams);
 

@@ -1,10 +1,14 @@
 // FrameArena storage semantics plus the pcap edge cases the zero-copy
-// decoder must share bit-for-bit with the legacy owned-buffer path:
+// decoder must share bit-for-bit with the copying decoder (the path
+// every trace took before zero-copy views, "legacy" below):
 // swapped-byte-order files, truncation, and snaplen-clipped records.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <thread>
 
 #include "net/arena.hpp"
 #include "net/pcap.hpp"
@@ -95,17 +99,6 @@ TEST(FrameArena, InvalidViewsResolveEmpty) {
   EXPECT_TRUE(FrameArena{}.view(0, 1).empty());          // empty arena
 }
 
-TEST(ArenaMode, GuardRestoresPreviousMode) {
-  const bool before = arena_enabled();
-  {
-    ArenaModeGuard guard(!before);
-    EXPECT_EQ(arena_enabled(), !before);
-    Trace t;
-    EXPECT_EQ(t.uses_arena(), !before);
-  }
-  EXPECT_EQ(arena_enabled(), before);
-}
-
 // ---- pcap edge cases ------------------------------------------------------
 
 void put32(Bytes& out, std::uint32_t v, bool be) {
@@ -154,13 +147,20 @@ Bytes make_pcap(bool be, const std::vector<Bytes>& payloads,
   return out;
 }
 
-class PcapEdgeCases : public testing::TestWithParam<bool> {};
+/// Param true = zero-copy views over the buffer ("arena"), false = the
+/// copying decoder ("legacy").
+class PcapEdgeCases : public testing::TestWithParam<bool> {
+ protected:
+  [[nodiscard]] std::optional<Trace> decode(const Bytes& file) const {
+    return GetParam() ? decode_pcap_zero_copy(BytesView{file})
+                      : decode_pcap(BytesView{file});
+  }
+};
 
 TEST_P(PcapEdgeCases, BigEndianMagicDecodes) {
-  ArenaModeGuard guard(GetParam());
   const std::vector<Bytes> payloads = {pattern(60, 1), pattern(90, 2)};
   const Bytes file = make_pcap(/*be=*/true, payloads);
-  auto trace = decode_pcap(BytesView{file});
+  auto trace = decode(file);
   ASSERT_TRUE(trace);
   ASSERT_EQ(trace->size(), 2u);
   EXPECT_NEAR(trace->frames()[0].ts, 1.25, 1e-9);
@@ -171,12 +171,11 @@ TEST_P(PcapEdgeCases, BigEndianMagicDecodes) {
 }
 
 TEST_P(PcapEdgeCases, TruncatedFinalRecordFailSoft) {
-  ArenaModeGuard guard(GetParam());
   // Cut into the last record's *bytes*: the intact first frame is kept
   // and the torn tail is counted, not fatal.
   Bytes file = make_pcap(false, {pattern(60, 1), pattern(60, 2)});
   file.resize(file.size() - 10);
-  auto trace = decode_pcap(BytesView{file});
+  auto trace = decode(file);
   ASSERT_TRUE(trace);
   EXPECT_EQ(trace->size(), 1u);
   EXPECT_EQ(trace->ingest().frames_seen, 1u);
@@ -185,7 +184,7 @@ TEST_P(PcapEdgeCases, TruncatedFinalRecordFailSoft) {
   // Cut into the record *header*: zero frames, still not fatal.
   Bytes header_cut = make_pcap(false, {pattern(60, 1)});
   header_cut.resize(24 + 8);
-  auto cut = decode_pcap(BytesView{header_cut});
+  auto cut = decode(header_cut);
   ASSERT_TRUE(cut);
   EXPECT_EQ(cut->size(), 0u);
   EXPECT_EQ(cut->ingest().frames_seen, 0u);
@@ -193,10 +192,9 @@ TEST_P(PcapEdgeCases, TruncatedFinalRecordFailSoft) {
 }
 
 TEST_P(PcapEdgeCases, SnaplenClippedRecordKeepsInclBytes) {
-  ArenaModeGuard guard(GetParam());
   // incl_len = 48, orig_len = 48 + 500: the capture clipped the packet.
   const Bytes file = make_pcap(false, {pattern(48, 3)}, /*orig_extra=*/500);
-  auto trace = decode_pcap(BytesView{file});
+  auto trace = decode(file);
   ASSERT_TRUE(trace);
   ASSERT_EQ(trace->size(), 1u);
   EXPECT_EQ(trace->frame_bytes(0).size(), 48u);
@@ -232,48 +230,52 @@ TEST(PcapZeroCopy, OwnedBufferDecodeSurvivesCallerRelease) {
 }
 
 TEST(PcapEquivalence, ArenaAndLegacyRoundTripsAreByteIdentical) {
+  // Copying decode ("legacy") and zero-copy views ("arena") re-encode
+  // to the input bytes.
   const Bytes file =
       make_pcap(false, {pattern(60, 1), pattern(400, 2), pattern(90, 3)});
-
-  Bytes reencoded[2];
-  for (const bool arena : {false, true}) {
-    ArenaModeGuard guard(arena);
-    auto trace = decode_pcap(BytesView{file});
-    ASSERT_TRUE(trace);
-    EXPECT_EQ(trace->uses_arena(), arena);
-    reencoded[arena ? 1 : 0] = encode_pcap(*trace);
-  }
-  EXPECT_EQ(reencoded[0], reencoded[1]);
-  EXPECT_EQ(reencoded[0], file);
-
-  // Zero-copy decode re-encodes identically too.
-  auto zc = decode_pcap_zero_copy(BytesView{file});
-  ASSERT_TRUE(zc);
-  EXPECT_EQ(encode_pcap(*zc), file);
+  auto copied = decode_pcap(BytesView{file});
+  auto viewed = decode_pcap_zero_copy(BytesView{file});
+  ASSERT_TRUE(copied);
+  ASSERT_TRUE(viewed);
+  EXPECT_EQ(encode_pcap(*copied), file);
+  EXPECT_EQ(encode_pcap(*viewed), file);
 }
 
 TEST(PcapFile, MmapAndLegacyReadsAgree) {
+  // A regular file is mmap'ed; a FIFO cannot be, so reading the same
+  // capture through one takes the buffered whole-file fallback.
   Trace trace;
   for (int i = 0; i < 20; ++i)
     trace.add_frame(0.25 * i, BytesView{pattern(60 + i, i)});
   const std::string path = testing::TempDir() + "rtcc_arena_file.pcap";
+  const std::string fifo = testing::TempDir() + "rtcc_arena_fifo.pcap";
   ASSERT_TRUE(write_pcap(path, trace));
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
 
-  std::optional<Trace> loaded[2];
-  for (const bool arena : {false, true}) {
-    ArenaModeGuard guard(arena);
-    loaded[arena ? 1 : 0] = read_pcap(path);
-    ASSERT_TRUE(loaded[arena ? 1 : 0]);
-  }
+  const auto mapped = read_pcap(path);
+  const Bytes file = encode_pcap(trace);
+  std::thread writer([&] {
+    std::ofstream out(fifo, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(file.data()),
+              static_cast<std::streamsize>(file.size()));
+  });
+  const auto buffered = read_pcap(fifo);
+  writer.join();
   std::remove(path.c_str());
+  std::remove(fifo.c_str());
 
-  ASSERT_EQ(loaded[0]->size(), loaded[1]->size());
-  ASSERT_EQ(loaded[0]->size(), trace.size());
-  EXPECT_EQ(loaded[0]->total_bytes(), loaded[1]->total_bytes());
+  ASSERT_TRUE(mapped);
+  ASSERT_TRUE(buffered);
+  ASSERT_EQ(mapped->size(), trace.size());
+  ASSERT_EQ(buffered->size(), trace.size());
+  EXPECT_EQ(mapped->total_bytes(), buffered->total_bytes());
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    const auto a = loaded[0]->frame_bytes(i);
-    const auto b = loaded[1]->frame_bytes(i);
+    const auto a = mapped->frame_bytes(i);
+    const auto b = buffered->frame_bytes(i);
     ASSERT_EQ(Bytes(a.begin(), a.end()), Bytes(b.begin(), b.end()));
+    EXPECT_EQ(mapped->frames()[i].ts, buffered->frames()[i].ts);
   }
 }
 

@@ -1,17 +1,21 @@
-// The arena refactor's equivalence oracle: with RTCC_ARENA flipped off,
-// every layer must produce bit-identical output to the arena path —
-// same emulated wire bytes, same truth labels, same filter
-// dispositions, same compliance metrics — across the full 6-app x
-// 3-network matrix. Any divergence means the in-place frame builder or
-// the view-based storage changed observable behaviour.
+// The arena producers' equivalence oracle: the emulator writes every
+// frame in place into its trace arena (build_frame_arena). Rebuilding
+// each frame from its decoded fields through the temporary-vector
+// builder (build_frame, the pre-arena "legacy" producer) and copying it
+// onto a fresh trace's slab tail (add_frame) must give bit-identical
+// output at every layer — same wire bytes, same filter dispositions,
+// same compliance metrics — across the full 6-app x 3-network matrix.
+// Any divergence means the in-place builder or the copying storage
+// path changed observable behaviour.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <tuple>
 
 #include "emul/app_model.hpp"
-#include "net/arena.hpp"
 #include "report/corpus.hpp"
+#include "report/json_export.hpp"
 #include "report/metrics.hpp"
 
 namespace rtcc {
@@ -37,74 +41,53 @@ void expect_identical_stats(const filter::StageStats& a,
   EXPECT_EQ(a.packets, b.packets);
 }
 
+/// Every field of the report, diagnostics included.
 void expect_identical_analysis(const report::CallAnalysis& a,
                                const report::CallAnalysis& b) {
-  EXPECT_EQ(a.raw_bytes, b.raw_bytes);
-  EXPECT_EQ(a.raw_udp_streams, b.raw_udp_streams);
-  EXPECT_EQ(a.raw_udp_datagrams, b.raw_udp_datagrams);
-  EXPECT_EQ(a.raw_tcp_streams, b.raw_tcp_streams);
-  EXPECT_EQ(a.raw_tcp_segments, b.raw_tcp_segments);
-  expect_identical_stats(a.stage1_udp, b.stage1_udp);
-  expect_identical_stats(a.stage2_udp, b.stage2_udp);
-  expect_identical_stats(a.stage1_tcp, b.stage1_tcp);
-  expect_identical_stats(a.stage2_tcp, b.stage2_tcp);
-  expect_identical_stats(a.rtc_udp, b.rtc_udp);
-  expect_identical_stats(a.rtc_tcp, b.rtc_tcp);
-  EXPECT_EQ(a.dgram_standard, b.dgram_standard);
-  EXPECT_EQ(a.dgram_prop_header, b.dgram_prop_header);
-  EXPECT_EQ(a.dgram_fully_prop, b.dgram_fully_prop);
-  EXPECT_EQ(a.dpi_candidates, b.dpi_candidates);
-  EXPECT_EQ(a.dpi_messages, b.dpi_messages);
-  ASSERT_EQ(a.protocols.size(), b.protocols.size());
-  auto ita = a.protocols.begin();
-  auto itb = b.protocols.begin();
-  for (; ita != a.protocols.end(); ++ita, ++itb) {
-    EXPECT_EQ(ita->first, itb->first);
-    EXPECT_EQ(ita->second.messages, itb->second.messages);
-    EXPECT_EQ(ita->second.compliant, itb->second.compliant);
-    ASSERT_EQ(ita->second.types.size(), itb->second.types.size());
-    auto ta = ita->second.types.begin();
-    auto tb = itb->second.types.begin();
-    for (; ta != ita->second.types.end(); ++ta, ++tb) {
-      EXPECT_EQ(ta->first, tb->first);
-      EXPECT_EQ(ta->second.total, tb->second.total);
-      EXPECT_EQ(ta->second.compliant, tb->second.compliant);
-      EXPECT_EQ(ta->second.criterion_failures, tb->second.criterion_failures);
-    }
-  }
+  EXPECT_EQ(report::to_json(a), report::to_json(b));
 }
 
 using SweepCase = std::tuple<AppId, NetworkSetup>;
 
 class ArenaEquivalence : public testing::TestWithParam<SweepCase> {};
 
+/// Rebuilds every frame of `trace` from its decoded addressing and
+/// payload through build_frame, copied onto a fresh trace's arena.
+net::Trace rebuild_through_build_frame(const net::Trace& trace) {
+  net::Trace out;
+  out.reserve(trace.size());
+  for (const auto& frame : trace.frames()) {
+    const auto d = net::decode_frame(trace.bytes(frame));
+    if (!d) {
+      ADD_FAILURE() << "emulated frame does not decode";
+      continue;
+    }
+    const net::FrameSpec spec{d->src, d->dst, d->src_port, d->dst_port,
+                              d->transport};
+    out.add_frame(frame.ts, net::build_frame(spec, d->payload));
+  }
+  return out;
+}
+
 TEST_P(ArenaEquivalence, WireBytesFilterAndMetricsMatchLegacy) {
   const auto [app, network] = GetParam();
   const auto cfg = sweep_config(app, network);
 
-  net::ArenaModeGuard arena_on(true);
   const auto arena_call = emul::emulate_call(cfg);
-  ASSERT_TRUE(arena_call.trace.uses_arena());
-
-  net::ArenaModeGuard legacy(false);
-  const auto legacy_call = emul::emulate_call(cfg);
-  ASSERT_FALSE(legacy_call.trace.uses_arena());
+  const net::Trace legacy_trace = rebuild_through_build_frame(arena_call.trace);
+  const auto fcfg = emul::filter_config_for(arena_call);
 
   // Layer 1: identical wire bytes (the whole pcap, headers included).
-  EXPECT_EQ(net::encode_pcap(arena_call.trace),
-            net::encode_pcap(legacy_call.trace));
-  EXPECT_EQ(arena_call.trace.total_bytes(), legacy_call.trace.total_bytes());
-  EXPECT_EQ(arena_call.truth, legacy_call.truth);
+  EXPECT_EQ(net::encode_pcap(arena_call.trace), net::encode_pcap(legacy_trace));
+  EXPECT_EQ(arena_call.trace.total_bytes(), legacy_trace.total_bytes());
 
   // Layer 2: identical filter dispositions, stream by stream.
   const auto arena_table = net::group_streams(arena_call.trace);
-  const auto legacy_table = net::group_streams(legacy_call.trace);
+  const auto legacy_table = net::group_streams(legacy_trace);
   const auto arena_report =
-      filter::run_pipeline(arena_call.trace, arena_table,
-                           emul::filter_config_for(arena_call));
+      filter::run_pipeline(arena_call.trace, arena_table, fcfg);
   const auto legacy_report =
-      filter::run_pipeline(legacy_call.trace, legacy_table,
-                           emul::filter_config_for(legacy_call));
+      filter::run_pipeline(legacy_trace, legacy_table, fcfg);
   EXPECT_EQ(arena_report.dispositions, legacy_report.dispositions);
   EXPECT_EQ(arena_report.rtc_udp_streams, legacy_report.rtc_udp_streams);
   expect_identical_stats(arena_report.rtc_udp, legacy_report.rtc_udp);
@@ -112,7 +95,7 @@ TEST_P(ArenaEquivalence, WireBytesFilterAndMetricsMatchLegacy) {
 
   // Layer 3: identical DPI + compliance metrics.
   expect_identical_analysis(report::analyze_call(arena_call),
-                            report::analyze_call(legacy_call));
+                            report::analyze_trace(legacy_trace, fcfg));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -137,18 +120,41 @@ report::ExperimentConfig tiny_matrix() {
 }
 
 TEST(Corpus, AggregatesMatchRunExperiment) {
+  // The pooled corpus, run_experiment, and a hand-rolled serial loop
+  // (emulate + analyze each call, merged app-major) agree per app.
   report::CorpusOptions opts;
   opts.experiment = tiny_matrix();
   const auto corpus = report::run_corpus(opts);
   const auto experiment = report::run_experiment(tiny_matrix());
 
+  std::map<AppId, report::CallAnalysis> reference;
+  const auto matrix = tiny_matrix();
+  for (const auto app : matrix.apps)
+    for (const auto network : matrix.networks)
+      for (int repeat = 0; repeat < matrix.repeats; ++repeat) {
+        emul::CallConfig call_cfg;
+        call_cfg.app = app;
+        call_cfg.network = network;
+        call_cfg.media_scale = matrix.media_scale;
+        call_cfg.call_s = matrix.call_s;
+        call_cfg.background = matrix.background;
+        call_cfg.seed = matrix.seed;
+        call_cfg.call_index = repeat;
+        report::merge(reference[app],
+                      report::analyze_call(emul::emulate_call(call_cfg)));
+      }
+
   ASSERT_EQ(corpus.per_app.size(), experiment.size());
+  ASSERT_EQ(corpus.per_app.size(), reference.size());
   auto itc = corpus.per_app.begin();
   auto ite = experiment.begin();
-  for (; itc != corpus.per_app.end(); ++itc, ++ite) {
+  auto itr = reference.begin();
+  for (; itc != corpus.per_app.end(); ++itc, ++ite, ++itr) {
     ASSERT_EQ(itc->first, ite->first);
+    ASSERT_EQ(itc->first, itr->first);
     SCOPED_TRACE("app " + to_string(itc->first));
     expect_identical_analysis(itc->second, ite->second);
+    expect_identical_analysis(itc->second, itr->second);
   }
 }
 

@@ -1,9 +1,10 @@
-// Vector pipeline: the RTCC_BATCH knob surface, batch-vs-per-datagram
-// extraction parity at the boundary datagram counts, and the per-node
-// counter accounting the report layer surfaces as "nodes".
+// Vector pipeline: extraction at the boundary datagram counts against
+// the naive per-datagram oracle, and the per-node counter accounting
+// the report layer surfaces as "nodes".
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "dpi/scanning_dpi.hpp"
 #include "net/packet_batch.hpp"
@@ -17,29 +18,10 @@ namespace {
 using rtcc::util::Bytes;
 using rtcc::util::BytesView;
 
-TEST(BatchKnob, SetClampsAndGuardRestores) {
-  const std::size_t prev = rtcc::net::batch_size();
-  EXPECT_EQ(rtcc::net::set_batch_size(64), 64u);
-  EXPECT_EQ(rtcc::net::batch_size(), 64u);
-  // Zero is not a vector length; the knob clamps to the fused path.
-  EXPECT_EQ(rtcc::net::set_batch_size(0), 1u);
-  {
-    const rtcc::net::BatchModeGuard guard(7);
-    EXPECT_EQ(rtcc::net::batch_size(), 7u);
-    {
-      const rtcc::net::BatchModeGuard nested(rtcc::net::kDefaultBatchSize);
-      EXPECT_EQ(rtcc::net::batch_size(), rtcc::net::kDefaultBatchSize);
-    }
-    EXPECT_EQ(rtcc::net::batch_size(), 7u);
-  }
-  EXPECT_EQ(rtcc::net::batch_size(), 1u);
-  rtcc::net::set_batch_size(prev);
-}
-
 TEST(BatchPipeline, BoundaryCountsMatchPerDatagramPath) {
   // Seed a mixed stream, tile it to every boundary count (empty, one,
-  // default ± 1, exact fit, 16 vectors minus one) and require the
-  // batched node graph and the fused per-datagram path to produce
+  // batch size ± 1, exact fit, 16 vectors minus one) and require the
+  // batched node graph and the naive per-datagram extractor to produce
   // byte-identical analyses.
   rtcc::util::Rng rng(0xb0b);
   const auto base = rtcc::testkit::make_seed_stream(
@@ -50,22 +32,8 @@ TEST(BatchPipeline, BoundaryCountsMatchPerDatagramPath) {
     const auto shaped =
         rtcc::testkit::mutate_batch_boundary(base.datagrams, count, rng);
     EXPECT_EQ(shaped.size(), count == 0 ? 0u : count);
-    const auto err = rtcc::testkit::check_batch_parity(shaped);
+    const auto err = rtcc::testkit::check_scan_equivalence(shaped);
     EXPECT_FALSE(err.has_value()) << "count " << count << ": " << *err;
-  }
-}
-
-TEST(BatchPipeline, OddBatchSizesMatchDefault) {
-  // Sizes that leave partial final vectors (and a size larger than the
-  // stream) against the default, via the oracle's extra-size hook.
-  rtcc::util::Rng rng(0x0dd);
-  auto stream = rtcc::testkit::make_seed_stream(
-      rtcc::testkit::all_seed_families().back(), rng, 6);
-  auto shaped =
-      rtcc::testkit::mutate_batch_boundary(stream.datagrams, 100, rng);
-  for (const std::size_t size : {3u, 17u, 101u, 1024u}) {
-    const auto err = rtcc::testkit::check_batch_parity(shaped, size);
-    EXPECT_FALSE(err.has_value()) << "batch=" << size << ": " << *err;
   }
 }
 
@@ -86,36 +54,21 @@ TEST(BatchPipeline, NodeCountersAccountForEveryPacket) {
   for (const auto& d : stream) batch.push(d.payload, d.ts, d.dir);
 
   const rtcc::dpi::ScanningDpi dpi;
-  {
-    const rtcc::net::BatchModeGuard guard(rtcc::net::kDefaultBatchSize);
-    rtcc::dpi::PipelineCounters counters;
-    const auto out = dpi.analyze_batch(batch, &counters);
-    ASSERT_EQ(out.size(), 300u);
+  rtcc::dpi::PipelineCounters counters;
+  const auto out = dpi.analyze_batch(batch, &counters);
+  ASSERT_EQ(out.size(), 300u);
 
-    EXPECT_EQ(counters.demux.vectors, 2u);  // ceil(300 / 256)
-    EXPECT_EQ(counters.demux.packets, 300u);
-    EXPECT_EQ(counters.demux.suspended, 2u);  // the empty payloads
-    EXPECT_EQ(counters.prefilter.vectors, 2u);
-    EXPECT_EQ(counters.prefilter.packets, 298u);
-    EXPECT_EQ(counters.scan.vectors, 2u);
-    EXPECT_EQ(counters.scan.packets, 298u);
-    // Every candidate the scan parked is accounted across the batch.
-    std::uint64_t candidates = 0;
-    for (const auto& a : out) candidates += a.candidates;
-    EXPECT_EQ(counters.scan.suspended, candidates);
-  }
-
-  // The fused per-datagram path has no node split: it books nothing,
-  // so merged reports distinguish "ran fused" from "ran the graph".
-  {
-    const rtcc::net::BatchModeGuard guard(1);
-    rtcc::dpi::PipelineCounters counters;
-    const auto out = dpi.analyze_batch(batch, &counters);
-    ASSERT_EQ(out.size(), 300u);
-    EXPECT_FALSE(counters.demux.any());
-    EXPECT_FALSE(counters.prefilter.any());
-    EXPECT_FALSE(counters.scan.any());
-  }
+  EXPECT_EQ(counters.demux.vectors, 2u);  // ceil(300 / 256)
+  EXPECT_EQ(counters.demux.packets, 300u);
+  EXPECT_EQ(counters.demux.suspended, 2u);  // the empty payloads
+  EXPECT_EQ(counters.prefilter.vectors, 2u);
+  EXPECT_EQ(counters.prefilter.packets, 298u);
+  EXPECT_EQ(counters.scan.vectors, 2u);
+  EXPECT_EQ(counters.scan.packets, 298u);
+  // Every candidate the scan parked is accounted across the batch.
+  std::uint64_t candidates = 0;
+  for (const auto& a : out) candidates += a.candidates;
+  EXPECT_EQ(counters.scan.suspended, candidates);
 }
 
 TEST(BatchPipeline, CountersAreOptional) {
@@ -123,8 +76,30 @@ TEST(BatchPipeline, CountersAreOptional) {
   rtcc::util::Rng rng(0xfee1);
   auto stream = rtcc::testkit::make_seed_stream(
       rtcc::testkit::all_seed_families().front(), rng, 4);
-  const auto err = rtcc::testkit::check_batch_parity(stream.datagrams);
-  EXPECT_FALSE(err.has_value()) << *err;
+  rtcc::net::PacketBatch batch;
+  for (std::size_t i = 0; i < stream.datagrams.size(); ++i)
+    batch.push(BytesView{stream.datagrams[i]}, static_cast<double>(i) * 0.01,
+               static_cast<int>(i & 1));
+  const rtcc::dpi::ScanningDpi dpi;
+  rtcc::dpi::PipelineCounters counters;
+  const auto counted = dpi.analyze_batch(batch, &counters);
+  const auto uncounted = dpi.analyze_batch(batch);
+  ASSERT_EQ(counted.size(), uncounted.size());
+  for (std::size_t i = 0; i < counted.size(); ++i) {
+    SCOPED_TRACE("datagram " + std::to_string(i));
+    const auto& a = counted[i];
+    const auto& b = uncounted[i];
+    EXPECT_EQ(a.klass, b.klass);
+    EXPECT_EQ(a.proprietary_header_len, b.proprietary_header_len);
+    EXPECT_EQ(a.candidates, b.candidates);
+    ASSERT_EQ(a.messages.size(), b.messages.size());
+    for (std::size_t m = 0; m < a.messages.size(); ++m) {
+      EXPECT_EQ(a.messages[m].offset, b.messages[m].offset);
+      EXPECT_EQ(a.messages[m].length, b.messages[m].length);
+      EXPECT_EQ(a.messages[m].type_label(), b.messages[m].type_label());
+    }
+  }
+  EXPECT_TRUE(counters.demux.any());
 }
 
 }  // namespace

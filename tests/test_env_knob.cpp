@@ -10,6 +10,7 @@
 #include <limits>
 #include <string>
 
+#include "report/corpus.hpp"
 #include "stream/stream_mode.hpp"
 #include "util/env_knob.hpp"
 
@@ -133,6 +134,22 @@ TEST(EnvKnob, StreamOptionsRejectBadBudgets) {
   unsetenv("RTCC_STREAM_FLOWS");
   unsetenv("RTCC_STREAM_IDLE");
   unsetenv("RTCC_STREAM_CHUNK");
+}
+
+TEST(EnvKnob, CorpusRepeatsFallBackToTheCorpusDefault) {
+  // A corpus run defaults to the paper's 5 repeats (90 calls); an
+  // invalid RTCC_REPEATS must fall back to that, not to the 2 of a
+  // plain experiment.
+  const char* bad[] = {"abc", "0", "-1", "3x"};
+  for (const char* s : bad) {
+    setenv("RTCC_REPEATS", s, 1);
+    EXPECT_EQ(rtcc::report::corpus_options_from_env().experiment.repeats, 5)
+        << "input: '" << s << "'";
+  }
+  setenv("RTCC_REPEATS", "3", 1);
+  EXPECT_EQ(rtcc::report::corpus_options_from_env().experiment.repeats, 3);
+  unsetenv("RTCC_REPEATS");
+  EXPECT_EQ(rtcc::report::corpus_options_from_env().experiment.repeats, 5);
 }
 
 }  // namespace

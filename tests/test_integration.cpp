@@ -3,8 +3,8 @@
 // metrics are asserted as ranges since packet rates are scaled).
 #include <gtest/gtest.h>
 
+#include "report/corpus.hpp"
 #include "report/figures.hpp"
-#include "report/metrics.hpp"
 #include "report/tables.hpp"
 
 namespace rtcc::report {

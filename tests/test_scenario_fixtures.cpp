@@ -2,9 +2,10 @@
 // hand-built Wi-Fi→cellular handoff capture and a TURN-over-TCP
 // fallback capture, with every IngestStats field hand-computed in the
 // generator. Each fixture is analyzed three ways — batch, streaming
-// (StreamModeGuard) and 4-way sharded (ShardModeGuard) — and the
-// compliance signatures must agree, the in-process half of the
-// analyze_fixture_handoff / analyze_fixture_turn_tcp ctest pins.
+// (StreamModeGuard) and streaming over 4 shard workers (plus
+// ShardModeGuard) — and the compliance signatures must agree, the
+// in-process half of the analyze_fixture_handoff /
+// analyze_fixture_turn_tcp ctest pins.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -52,6 +53,7 @@ void expect_parity(const Trace& trace, const rtcc::filter::FilterConfig& cfg,
         << "streaming parity";
   }
   {
+    StreamModeGuard stream_on(true);
     ShardModeGuard four_shards(4);
     EXPECT_EQ(analyze_case(trace, cfg).signature, base_signature)
         << "shard parity";

@@ -64,10 +64,10 @@ TEST(ScenarioCatalogue, EveryScenarioIsDeterministic) {
   }
 }
 
-// The knob-parity oracle, per scenario: the one-pass streaming engine
-// and the flow-sharded pipeline must reproduce the batch compliance
-// signature on every catalogue entry — new scenario families don't get
-// to regress the equivalence guarantees.
+// The knob-parity oracle, per scenario: the one-pass streaming engine,
+// inline and over its shard workers, must reproduce the batch
+// compliance signature on every catalogue entry — new scenario
+// families don't get to regress the equivalence guarantees.
 TEST(ScenarioCatalogue, StreamAndShardParityOnEveryScenario) {
   const auto opts = quick_options();
   for (const auto& spec : scenario_catalogue()) {
@@ -81,6 +81,7 @@ TEST(ScenarioCatalogue, StreamAndShardParityOnEveryScenario) {
           << "streaming parity";
     }
     {
+      StreamModeGuard stream_on(true);
       ShardModeGuard four_shards(4);
       EXPECT_EQ(analyze_case(scen.trace, scen.cfg).signature, base.signature)
           << "shard parity";

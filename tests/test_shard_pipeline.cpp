@@ -1,20 +1,20 @@
-// report/shard.hpp: the flow-sharded execution mode. The contract
-// under test is the tentpole's acceptance criterion — merged reports
-// are byte-identical for every shard count (the "shards" JSON
-// diagnostic being the one intentional difference) — plus the knob
-// surface, the per-shard stats accounting identities, double-run
-// determinism, and corpus-level equivalence.
+// report/shard.hpp: the flow-sharded workers behind the streaming
+// engine, their only consumer. The contract under test: merged reports
+// from analyze_trace_streaming are byte-identical to the batch path for
+// every shard count (the "shards" and "flows" JSON diagnostics being
+// the intentional differences), plus the knob surface, the per-shard
+// stats accounting identities, and double-run determinism.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "emul/app_model.hpp"
 #include "emul/group_call.hpp"
-#include "report/corpus.hpp"
 #include "report/json_export.hpp"
 #include "report/metrics.hpp"
 #include "report/shard.hpp"
+#include "stream/engine.hpp"
+#include "stream/stream_mode.hpp"
 
 namespace {
 
@@ -22,13 +22,22 @@ namespace emul = rtcc::emul;
 namespace report = rtcc::report;
 
 /// Report JSON with the knob-dependent "shards" and "flows" diagnostics
-/// dropped — everything that must be execution-mode-invariant. ("flows"
-/// appears when RTCC_STREAM routes analyze_trace through the streaming
-/// engine, which the corpus pipeline never does.)
+/// dropped — everything that must be execution-mode-invariant.
 std::string stripped_json(report::CallAnalysis a) {
   a.shards.clear();
   a.flows = {};
   return report::to_json(a);
+}
+
+/// The streaming engine at unbounded budgets (no flow can split, so it
+/// must reproduce the batch report exactly).
+report::CallAnalysis streamed(const rtcc::net::Trace& trace,
+                              const rtcc::filter::FilterConfig& fcfg,
+                              const report::AnalysisOptions& opts,
+                              std::vector<report::CallAnalysis>* parts =
+                                  nullptr) {
+  return rtcc::stream::analyze_trace_streaming(
+      trace, fcfg, opts, rtcc::stream::StreamOptions{}, parts);
 }
 
 /// A 6-participant SFU conference: enough distinct RTC UDP flows
@@ -72,20 +81,23 @@ TEST(ShardedAnalyzeTrace, ParityAcrossShardCounts) {
   const auto call = many_stream_call();
   const auto fcfg = emul::group_filter_config(call);
 
+  // The batch path is the reference; it never shards.
   report::AnalysisOptions opts;
-  opts.shards = 1;
   std::vector<report::CallAnalysis> ref_parts;
-  const auto ref =
-      report::analyze_trace(call.trace, fcfg, opts, &ref_parts);
+  report::CallAnalysis ref;
+  {
+    const rtcc::stream::StreamModeGuard batch(false);
+    const report::ShardModeGuard four(4);
+    ref = report::analyze_trace(call.trace, fcfg, opts, &ref_parts);
+  }
   const auto ref_json = stripped_json(ref);
-  EXPECT_TRUE(ref.shards.empty())
-      << "unsharded path must not emit shard stats";
+  EXPECT_TRUE(ref.shards.empty()) << "batch path must not emit shard stats";
   ASSERT_GT(ref_parts.size(), 1u) << "call produced too few RTC streams";
 
-  for (const std::size_t count : {2u, 3u, 8u}) {
+  for (const std::size_t count : {1u, 2u, 3u, 8u}) {
     opts.shards = count;
     std::vector<report::CallAnalysis> parts;
-    const auto got = report::analyze_trace(call.trace, fcfg, opts, &parts);
+    const auto got = streamed(call.trace, fcfg, opts, &parts);
     EXPECT_EQ(stripped_json(got), ref_json) << "at " << count << " shards";
     ASSERT_EQ(parts.size(), ref_parts.size());
     for (std::size_t si = 0; si < parts.size(); ++si)
@@ -99,8 +111,8 @@ TEST(ShardedAnalyzeTrace, DoubleRunDeterminism) {
   const auto fcfg = emul::group_filter_config(call);
   report::AnalysisOptions opts;
   opts.shards = 4;
-  const auto a = report::analyze_trace(call.trace, fcfg, opts);
-  const auto b = report::analyze_trace(call.trace, fcfg, opts);
+  const auto a = streamed(call.trace, fcfg, opts);
+  const auto b = streamed(call.trace, fcfg, opts);
   // Full JSON including the "shards" rows: routing is a pure hash, so
   // even the diagnostic split must be stable run to run.
   EXPECT_EQ(report::to_json(a), report::to_json(b));
@@ -112,7 +124,7 @@ TEST(ShardedAnalyzeTrace, ShardStatsAccountForAllWork) {
   report::AnalysisOptions opts;
   opts.shards = 4;
   std::vector<report::CallAnalysis> parts;
-  const auto got = report::analyze_trace(call.trace, fcfg, opts, &parts);
+  const auto got = streamed(call.trace, fcfg, opts, &parts);
 
   ASSERT_EQ(got.shards.size(), 4u);
   std::uint64_t streams = 0, datagrams = 0, messages = 0, vectors = 0;
@@ -146,7 +158,7 @@ TEST(ShardedAnalyzeTrace, RespectsGlobalKnobAndParallelOff) {
   {
     // opts.shards = 0 defers to the global knob.
     const report::ShardModeGuard guard(2);
-    const auto got = report::analyze_trace(call.trace, fcfg, {});
+    const auto got = streamed(call.trace, fcfg, {});
     EXPECT_EQ(got.shards.size(), 2u);
   }
   {
@@ -155,55 +167,23 @@ TEST(ShardedAnalyzeTrace, RespectsGlobalKnobAndParallelOff) {
     const report::ShardModeGuard guard(4);
     report::AnalysisOptions opts;
     opts.parallel_streams = false;
-    const auto got = report::analyze_trace(call.trace, fcfg, opts);
+    const auto got = streamed(call.trace, fcfg, opts);
     EXPECT_TRUE(got.shards.empty());
   }
-}
-
-TEST(ShardedCorpus, MatchesUnshardedCorpus) {
-  report::CorpusOptions copts;
-  copts.experiment.apps = {emul::AppId::kZoom, emul::AppId::kDiscord};
-  copts.experiment.networks = {emul::all_networks().front()};
-  copts.experiment.repeats = 1;
-  copts.experiment.media_scale = 0.02;
-  copts.experiment.call_s = 30.0;
-
-  report::CorpusResult ref, got;
   {
-    const report::ShardModeGuard guard(1);
-    ref = report::run_corpus(copts);
-  }
-  {
+    // The batch path ignores the knob entirely.
+    const rtcc::stream::StreamModeGuard batch(false);
     const report::ShardModeGuard guard(4);
-    got = report::run_corpus(copts);
+    const auto got = report::analyze_trace(call.trace, fcfg, {});
+    EXPECT_TRUE(got.shards.empty());
   }
-
-  ASSERT_EQ(ref.per_app.size(), got.per_app.size());
-  for (const auto& [app, analysis] : ref.per_app) {
-    const auto it = got.per_app.find(app);
-    ASSERT_NE(it, got.per_app.end());
-    EXPECT_EQ(stripped_json(it->second), stripped_json(analysis))
-        << "per-app aggregate differs for " << emul::to_string(app);
-  }
-  // Call stats (trace sizes, matrix order) are execution-mode
-  // invariant, as is total volume.
-  ASSERT_EQ(ref.calls.size(), got.calls.size());
-  for (std::size_t i = 0; i < ref.calls.size(); ++i) {
-    EXPECT_EQ(ref.calls[i].app, got.calls[i].app);
-    EXPECT_EQ(ref.calls[i].trace_bytes, got.calls[i].trace_bytes);
-    EXPECT_EQ(ref.calls[i].frames, got.calls[i].frames);
-  }
-  EXPECT_EQ(ref.total_trace_bytes, got.total_trace_bytes);
-  // The gate bounds live traces on the sharded path too.
-  EXPECT_GT(got.peak_live_traces, 0u);
-  EXPECT_LE(got.peak_live_trace_bytes, got.total_trace_bytes);
 }
 
 TEST(ShardedAnalyzeTrace, EmptyTraceIsHarmless) {
   rtcc::net::Trace trace;
   report::AnalysisOptions opts;
   opts.shards = 8;
-  const auto got = report::analyze_trace(trace, {}, opts);
+  const auto got = streamed(trace, {}, opts);
   EXPECT_EQ(got.raw_udp_streams, 0u);
   EXPECT_TRUE(got.shards.empty());
 }
