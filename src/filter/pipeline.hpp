@@ -3,9 +3,19 @@
 //             window;
 //   stage 2 — intra-call heuristics: 3-tuple timing, TLS SNI blocklist,
 //             local-IP scope, and IANA port-based exclusion.
+//
+// One implementation serves both front ends. The rules read a
+// FlowSummary per flow; `classify` turns a set of summaries into
+// dispositions and `tally` books them into Table 1's shape. The batch
+// path (`run_pipeline`) summarizes its stream table; the streaming
+// engine's FlowRecord *is* a FlowSummary, kept current packet by packet
+// through the same SNI probe, and the engine classifies its retained
+// records in place at every epoch boundary and at finish().
 #pragma once
 
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,7 +76,7 @@ struct StageStats {
 
 /// Filtering outcome in Table 1's shape, split UDP/TCP per stage.
 struct FilterReport {
-  std::vector<Disposition> dispositions;  // indexed like table.streams
+  std::vector<Disposition> dispositions;  // indexed like the classified flows
   StageStats stage1_udp, stage2_udp, stage1_tcp, stage2_tcp;
   StageStats rtc_udp, rtc_tcp;
   /// Indices of surviving UDP streams — the compliance-analysis input.
@@ -76,6 +86,67 @@ struct FilterReport {
   rtcc::net::IngestStats ingest;
 };
 
+/// What the §3.2 rules read about one flow (one stream-table stream,
+/// or one streaming flow record).
+struct FlowSummary {
+  rtcc::net::FlowKey key;
+  double first_ts = 0.0;  // min packet ts (pcap ts are not monotonic)
+  double last_ts = 0.0;   // max packet ts
+  std::uint64_t packet_count = 0;
+  /// First TLS ClientHello SNI among the flow's first kSniProbeWindow
+  /// packets (TCP only); filled by probe_sni.
+  std::optional<std::string> sni;
+};
+
+/// The ClientHello sits at the front of a TCP stream, so the SNI probe
+/// reads only this many leading packets and the filter stays
+/// O(flows), not O(packets).
+inline constexpr std::size_t kSniProbeWindow = 8;
+
+/// The SNI probe, fed packet by packet in stream order: `index` is the
+/// packet's 0-based position in its flow. Probes TCP payloads in the
+/// first kSniProbeWindow slots (an empty payload uses its slot up) and
+/// keeps the first SNI found. UDP QUIC SNI is out of scope, as in the
+/// paper.
+void probe_sni(FlowSummary& flow, std::uint64_t index,
+               rtcc::util::BytesView payload);
+
+/// Stage 1: true when the flow's span is fully enclosed in the expanded
+/// call window. Monotone in the span — once false, no later packet can
+/// make it true — so the streaming engine condemns a flow online the
+/// moment it fails.
+[[nodiscard]] bool enclosed_in_window(const FlowSummary& flow,
+                                      const CallSchedule& schedule);
+
+/// Stage 2d: an IANA non-RTC service port on either side. Static on the
+/// key, so the streaming engine condemns such a flow at its first
+/// packet.
+[[nodiscard]] bool port_excluded(const rtcc::net::FlowKey& key,
+                                 const FilterConfig& cfg);
+
+/// Stage 2b helper: suffix match honoring label boundaries
+/// ("facebook.com" matches "web.facebook.com" but not
+/// "notfacebook.com").
+[[nodiscard]] bool sni_blocked(const std::string& sni,
+                               const std::vector<std::string>& blocklist);
+
+/// The §3.2 rules over a set of flows, read in place (no summary is
+/// copied). Precedence: stage 1, then 3-tuple, SNI, local-IP and port —
+/// a flow matching several stage-2 rules reports the first. Stage 2's
+/// cross-flow evidence comes from `flows` themselves: remote 3-tuples
+/// of stage-1-removed flows and IP pairs active before the window. Both
+/// witness sets only grow as flows are added, so over a growing set a
+/// kept flow can turn removed but a removed one never reopens.
+[[nodiscard]] std::vector<Disposition> classify(
+    std::span<const FlowSummary* const> flows, const FilterConfig& cfg);
+
+/// Table 1's tally: each flow's stream and packets under its
+/// disposition's bucket, split UDP/TCP, and the surviving UDP flows'
+/// indices. `ingest` is left for the caller.
+[[nodiscard]] FilterReport tally(std::span<const FlowSummary* const> flows,
+                                 std::vector<Disposition> dispositions);
+
+/// The batch front end: summarizes the stream table, classifies, tallies.
 [[nodiscard]] FilterReport run_pipeline(const rtcc::net::Trace& trace,
                                         const rtcc::net::StreamTable& table,
                                         const FilterConfig& cfg);
@@ -90,37 +161,5 @@ struct FilterReport {
 /// reassembled packet has no single home frame).
 [[nodiscard]] std::vector<std::size_t> kept_frame_indices(
     const rtcc::net::StreamTable& table, const FilterReport& report);
-
-// ---- Individual stages (exposed for unit tests and ablations) ----------
-
-/// Stage 1: true when the stream's active span is fully enclosed in the
-/// expanded call window.
-[[nodiscard]] bool enclosed_in_window(const rtcc::net::Stream& s,
-                                      const CallSchedule& schedule);
-
-/// Stage 2a helper: remote-endpoint 3-tuples (ip, port, proto) observed
-/// outside the call window (from streams stage 1 removed).
-struct ThreeTuple {
-  rtcc::net::IpAddr ip;
-  std::uint16_t port = 0;
-  rtcc::net::Transport transport = rtcc::net::Transport::kUdp;
-  auto operator<=>(const ThreeTuple&) const = default;
-};
-
-[[nodiscard]] std::vector<ThreeTuple> collect_outside_tuples(
-    const rtcc::net::StreamTable& table, const FilterConfig& cfg,
-    const std::vector<bool>& removed_stage1);
-
-/// Stage 2b: SNI of the stream's TLS ClientHello, if any (first packets
-/// only — ClientHello is always at the front of a TCP stream). The
-/// table resolves payloads of packets reassembled from IPv4 fragments.
-[[nodiscard]] std::optional<std::string> stream_sni(
-    const rtcc::net::Trace& trace, const rtcc::net::StreamTable& table,
-    const rtcc::net::Stream& s);
-
-/// Suffix match honoring label boundaries ("facebook.com" matches
-/// "web.facebook.com" but not "notfacebook.com").
-[[nodiscard]] bool sni_blocked(const std::string& sni,
-                               const std::vector<std::string>& blocklist);
 
 }  // namespace rtcc::filter

@@ -130,6 +130,24 @@ void analyze_stream_batch(const rtcc::dpi::ScanningDpi& dpi,
   }
 }
 
+void book_filter_report(const rtcc::filter::FilterReport& report,
+                        CallAnalysis& out) {
+  out.stage1_udp = report.stage1_udp;
+  out.stage2_udp = report.stage2_udp;
+  out.stage1_tcp = report.stage1_tcp;
+  out.stage2_tcp = report.stage2_tcp;
+  out.rtc_udp = report.rtc_udp;
+  out.rtc_tcp = report.rtc_tcp;
+  out.raw_udp_streams = report.stage1_udp.streams + report.stage2_udp.streams +
+                        report.rtc_udp.streams;
+  out.raw_udp_datagrams = report.stage1_udp.packets +
+                          report.stage2_udp.packets + report.rtc_udp.packets;
+  out.raw_tcp_streams = report.stage1_tcp.streams + report.stage2_tcp.streams +
+                        report.rtc_tcp.streams;
+  out.raw_tcp_segments = report.stage1_tcp.packets +
+                         report.stage2_tcp.packets + report.rtc_tcp.packets;
+}
+
 }  // namespace detail
 
 CallAnalysis analyze_trace(const rtcc::net::Trace& trace,
@@ -149,19 +167,9 @@ CallAnalysis analyze_trace(const rtcc::net::Trace& trace,
   CallAnalysis out;
   out.raw_bytes = trace.total_bytes();
   const auto table = rtcc::net::group_streams(trace);
-  out.raw_udp_streams = table.udp_stream_count();
-  out.raw_udp_datagrams = table.udp_datagram_count();
-  out.raw_tcp_streams = table.tcp_stream_count();
-  out.raw_tcp_segments = table.tcp_segment_count();
-
   const auto report = rtcc::filter::run_pipeline(trace, table, fcfg);
   out.ingest = report.ingest;
-  out.stage1_udp = report.stage1_udp;
-  out.stage2_udp = report.stage2_udp;
-  out.stage1_tcp = report.stage1_tcp;
-  out.stage2_tcp = report.stage2_tcp;
-  out.rtc_udp = report.rtc_udp;
-  out.rtc_tcp = report.rtc_tcp;
+  detail::book_filter_report(report, out);
 
   // Streams are independent (all validation heuristics and compliance
   // context are stream-scoped), so each one fills its own partial.

@@ -227,6 +227,12 @@ void analyze_stream_batch(const rtcc::dpi::ScanningDpi& dpi,
                           const rtcc::net::PacketBatch& batch,
                           CallAnalysis& part);
 
+/// Books the filter's Table 1 tally into `out`: the per-stage buckets,
+/// and the raw stream/packet totals as their sums (every stream lands
+/// in exactly one bucket). Shared by the batch and streaming front ends.
+void book_filter_report(const rtcc::filter::FilterReport& report,
+                        CallAnalysis& out);
+
 }  // namespace detail
 
 }  // namespace rtcc::report

@@ -3,16 +3,11 @@
 #include <algorithm>
 #include <utility>
 
-#include "proto/tls/client_hello.hpp"
 #include "report/shard.hpp"
 
 namespace rtcc::stream {
 
-using rtcc::filter::ThreeTuple;
 using rtcc::net::Direction;
-using rtcc::net::FlowKey;
-using rtcc::net::IpAddr;
-using rtcc::net::Transport;
 using rtcc::report::CallAnalysis;
 
 namespace {
@@ -25,14 +20,14 @@ std::size_t effective_shards(const rtcc::report::AnalysisOptions& opts) {
   return opts.shards != 0 ? opts.shards : rtcc::report::shard_count();
 }
 
-bool is_device(const IpAddr& ip, const rtcc::filter::FilterConfig& cfg) {
-  return std::find(cfg.device_ips.begin(), cfg.device_ips.end(), ip) !=
-         cfg.device_ips.end();
+/// The retained records as the filter's flow set, read in place.
+std::vector<const rtcc::filter::FlowSummary*> flow_set(
+    const std::deque<FlowRecord>& records) {
+  std::vector<const rtcc::filter::FlowSummary*> flows;
+  flows.reserve(records.size());
+  for (const FlowRecord& rec : records) flows.push_back(&rec);
+  return flows;
 }
-
-/// Probe window mirroring filter::stream_sni: the ClientHello sits in
-/// the first packets of a TCP stream.
-constexpr std::uint8_t kSniProbePackets = 8;
 
 }  // namespace
 
@@ -126,44 +121,38 @@ void StreamingAnalyzer::push_frame(rtcc::util::BytesView wire, double ts,
   if (touched.created) {
     rec.first_ts = ts;
     rec.last_ts = ts;
-    // Stage 2d is static on the key: an excluded port on either side
-    // means the flow can never be kept, so its payloads never buffer.
-    if (fcfg_.excluded_ports.count(key.a_port) > 0 ||
-        fcfg_.excluded_ports.count(key.b_port) > 0)
-      rec.condemned = true;
+    // The excluded-port rule is static on the key: such a flow can
+    // never be kept, so its payloads never buffer.
+    rec.condemned = rtcc::filter::port_excluded(key, fcfg_);
     if (!rec.condemned && rec.udp())
       rec.payload = std::make_shared<FlowPayload>();
   } else {
     rec.first_ts = std::min(rec.first_ts, ts);
     rec.last_ts = std::max(rec.last_ts, ts);
   }
+  // Every flow feeds the SNI probe, condemned or not: the final
+  // disposition names the first rule that matches, and SNI outranks
+  // the port rule.
   ++rec.packet_count;
+  rtcc::filter::probe_sni(rec, rec.packet_count - 1, decoded->payload);
 
   // Stage 1 enclosure is monotone in the packet span: one timestamp
   // outside the expanded window condemns the flow for good.
-  if (!rec.condemned && (ts < fcfg_.schedule.window_begin() ||
-                         ts > fcfg_.schedule.window_end()))
+  if (!rec.condemned &&
+      !rtcc::filter::enclosed_in_window(rec, fcfg_.schedule))
     condemn(rec);
 
-  if (!rec.condemned) {
-    if (rec.udp()) {
-      FlowPayload& p = *rec.payload;
-      p.bytes.insert(p.bytes.end(), decoded->payload.begin(),
-                     decoded->payload.end());
-      FlowPacket fp;
-      fp.ts = ts;
-      fp.len = static_cast<std::uint32_t>(decoded->payload.size());
-      fp.dir = dir == Direction::kAtoB ? 0 : 1;
-      fp.reasm = decoded->reassembled;
-      p.packets.push_back(fp);
-      live_flow_bytes_ += decoded->payload.size() + sizeof(FlowPacket);
-    } else if (rec.sni_probed < kSniProbePackets && !rec.sni) {
-      // filter::stream_sni scans the first kMaxProbe packets (empty
-      // payloads consume probe slots too) and keeps the first hit.
-      ++rec.sni_probed;
-      if (!decoded->payload.empty())
-        rec.sni = rtcc::proto::tls::extract_sni(decoded->payload);
-    }
+  if (!rec.condemned && rec.udp()) {
+    FlowPayload& p = *rec.payload;
+    p.bytes.insert(p.bytes.end(), decoded->payload.begin(),
+                   decoded->payload.end());
+    FlowPacket fp;
+    fp.ts = ts;
+    fp.len = static_cast<std::uint32_t>(decoded->payload.size());
+    fp.dir = dir == Direction::kAtoB ? 0 : 1;
+    fp.reasm = decoded->reassembled;
+    p.packets.push_back(fp);
+    live_flow_bytes_ += decoded->payload.size() + sizeof(FlowPacket);
   }
 
   table_.enforce_capacity(evict_fn);
@@ -241,86 +230,6 @@ void StreamingAnalyzer::analyze_record(FlowRecord& rec,
   }
 }
 
-std::vector<rtcc::filter::Disposition> StreamingAnalyzer::compute_dispositions()
-    const {
-  using rtcc::filter::Disposition;
-  const auto& records = table_.records();
-  const std::size_t n = records.size();
-  const double wb = fcfg_.schedule.window_begin();
-  const double we = fcfg_.schedule.window_end();
-
-  // ---- Stage 1: timespan enclosure (filter::enclosed_in_window) ----
-  std::vector<bool> removed1(n, false);
-  for (std::size_t i = 0; i < n; ++i)
-    removed1[i] = !(records[i].first_ts >= wb && records[i].last_ts <= we);
-
-  // ---- Stage 2 evidence (filter::run_pipeline, from retained
-  // metadata instead of a stream table). Both witness sets only ever
-  // grow as flows accumulate, which is what makes mid-capture
-  // (epoch-boundary) dispositions provisional in one direction only:
-  // kept can later flip to removed, removed never flips back. ----
-  std::vector<ThreeTuple> outside_tuples;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!removed1[i]) continue;
-    const FlowKey& k = records[i].key;
-    if (!is_device(k.a, fcfg_))
-      outside_tuples.push_back(ThreeTuple{k.a, k.a_port, k.transport});
-    if (!is_device(k.b, fcfg_))
-      outside_tuples.push_back(ThreeTuple{k.b, k.b_port, k.transport});
-  }
-  std::sort(outside_tuples.begin(), outside_tuples.end());
-  outside_tuples.erase(
-      std::unique(outside_tuples.begin(), outside_tuples.end()),
-      outside_tuples.end());
-
-  std::vector<std::pair<IpAddr, IpAddr>> precall_pairs;
-  for (std::size_t i = 0; i < n; ++i)
-    if (records[i].first_ts < wb)
-      precall_pairs.emplace_back(records[i].key.a, records[i].key.b);
-  std::sort(precall_pairs.begin(), precall_pairs.end());
-  precall_pairs.erase(
-      std::unique(precall_pairs.begin(), precall_pairs.end()),
-      precall_pairs.end());
-
-  const auto tuple_outside = [&](const IpAddr& ip, std::uint16_t port,
-                                 Transport transport) {
-    return std::binary_search(outside_tuples.begin(), outside_tuples.end(),
-                              ThreeTuple{ip, port, transport});
-  };
-
-  std::vector<Disposition> disp(n, Disposition::kKept);
-  for (std::size_t i = 0; i < n; ++i) {
-    const FlowKey& k = records[i].key;
-    if (removed1[i]) {
-      disp[i] = Disposition::kStage1Timespan;
-      continue;
-    }
-    const bool a_dev = is_device(k.a, fcfg_);
-    const bool b_dev = is_device(k.b, fcfg_);
-    // 2a — 3-tuple timing.
-    if ((!a_dev && tuple_outside(k.a, k.a_port, k.transport)) ||
-        (!b_dev && tuple_outside(k.b, k.b_port, k.transport))) {
-      disp[i] = Disposition::kStage2ThreeTuple;
-    } else if (k.transport == Transport::kTcp && records[i].sni &&
-               rtcc::filter::sni_blocked(*records[i].sni,
-                                         fcfg_.sni_blocklist)) {
-      // 2b — TLS SNI blocklist (TCP only).
-      disp[i] = Disposition::kStage2Sni;
-    } else if (((!a_dev && k.a.is_local_scope()) ||
-                (!b_dev && k.b.is_local_scope())) &&
-               std::binary_search(precall_pairs.begin(), precall_pairs.end(),
-                                  std::make_pair(k.a, k.b))) {
-      // 2c — local-scope remote whose IP pair appeared pre-call.
-      disp[i] = Disposition::kStage2LocalIp;
-    } else if (fcfg_.excluded_ports.count(k.a_port) > 0 ||
-               fcfg_.excluded_ports.count(k.b_port) > 0) {
-      // 2d — port-based exclusion.
-      disp[i] = Disposition::kStage2Port;
-    }
-  }
-  return disp;
-}
-
 void StreamingAnalyzer::set_epoch(double epoch_s, EpochSink sink) {
   epoch_s_ = epoch_s;
   sink_ = std::move(sink);
@@ -346,7 +255,7 @@ void StreamingAnalyzer::emit_epoch(
 
   std::vector<rtcc::filter::Disposition> local;
   if (precomputed == nullptr) {
-    local = compute_dispositions();
+    local = rtcc::filter::classify(flow_set(table_.records()), fcfg_);
     precomputed = &local;
   }
   const auto& disp = *precomputed;
@@ -401,38 +310,17 @@ CallAnalysis StreamingAnalyzer::finish(std::vector<CallAnalysis>* per_stream) {
     on_evict(r, reason);
   });
 
+  // ---- Classification and the Table 1 tally, in stream-table order ----
   auto& records = table_.records();
-  const std::size_t n = records.size();
-  const auto disp = compute_dispositions();
+  const auto flows = flow_set(records);
+  const auto filtered =
+      rtcc::filter::tally(flows, rtcc::filter::classify(flows, fcfg_));
+  const auto& kept_udp = filtered.rtc_udp_streams;
 
-  // ---- Table 1 accounting, in stream-table order ----
   CallAnalysis out;
   out.raw_bytes = raw_bytes_;
-  out.ingest = capture_;
-  out.ingest.merge(decoder_.stats());
-
-  std::vector<std::size_t> kept_udp;
-  for (std::size_t i = 0; i < n; ++i) {
-    const FlowRecord& rec = records[i];
-    const bool udp = rec.udp();
-    if (udp) {
-      ++out.raw_udp_streams;
-      out.raw_udp_datagrams += rec.packet_count;
-    } else {
-      ++out.raw_tcp_streams;
-      out.raw_tcp_segments += rec.packet_count;
-    }
-
-    const bool removed1 = disp[i] == rtcc::filter::Disposition::kStage1Timespan;
-    const bool removed2 = rtcc::filter::is_stage2(disp[i]);
-    auto& stage = removed1 ? (udp ? out.stage1_udp : out.stage1_tcp)
-                 : removed2 ? (udp ? out.stage2_udp : out.stage2_tcp)
-                            : (udp ? out.rtc_udp : out.rtc_tcp);
-    ++stage.streams;
-    stage.packets += rec.packet_count;
-    if (disp[i] == rtcc::filter::Disposition::kKept && udp)
-      kept_udp.push_back(i);
-  }
+  out.ingest = ingest_totals();
+  rtcc::report::detail::book_filter_report(filtered, out);
 
   // ---- Finalize kept flows not already analyzed at eviction ----
   for (std::size_t i : kept_udp) {
@@ -449,7 +337,7 @@ CallAnalysis StreamingAnalyzer::finish(std::vector<CallAnalysis>* per_stream) {
   // unemitted and amendments for any provisional verdict the complete
   // evidence overturned. Runs before the partials move out below so
   // kept verdicts can still point at their analyses. ----
-  emit_epoch(/*final_pass=*/true, &disp);
+  emit_epoch(/*final_pass=*/true, &filtered.dispositions);
 
   // ---- Merge in stream-table order (merge() is order-insensitive,
   // pinned by the merge-order oracle, so this matches the batch path's

@@ -8,13 +8,15 @@
 //   * windowed online keep/drop — a flow is condemned the moment the
 //     evidence is final regardless of what else arrives: any packet
 //     timestamped outside the expanded call window (stage 1 enclosure
-//     can no longer hold) or a statically excluded port (stage 2d).
-//     Condemned flows drop their payload buffers immediately; only
-//     lightweight metadata is retained. Every other disposition (3-tuple
+//     can no longer hold) or a statically excluded port (stage 2d),
+//     tested with the filter's own predicates. Condemned flows drop
+//     their payload buffers immediately; only the record's
+//     filter::FlowSummary is retained. Every other disposition (3-tuple
 //     timing, SNI, local-IP + precall) needs cross-flow evidence that
-//     is only complete at end of capture, so finish() recomputes all
-//     dispositions from retained metadata with the batch filter's exact
-//     semantics.
+//     is only complete at end of capture, so epoch boundaries and
+//     finish() pass the retained records to filter::classify — the one
+//     classifier the batch pipeline also runs — and finish() books
+//     them through the shared filter::tally.
 //
 //   * per-flow incremental state machine — surviving UDP flows buffer
 //     payload copies until the flow is finalized (eviction or drain),
@@ -23,8 +25,9 @@
 //     validation and cover walk, and the two-phase compliance checker,
 //     are whole-stream stateful, so the flow is the unit of
 //     incrementality and byte-identity with batch holds by
-//     construction. TCP flows never buffer payloads; they probe their
-//     first packets for a TLS SNI online, mirroring filter::stream_sni.
+//     construction. TCP flows never buffer payloads; every TCP flow,
+//     condemned or not, feeds filter::probe_sni online, the same probe
+//     the batch pipeline runs over its stream table.
 //
 //   * bounded flow table (stream/flow_table.hpp) — idle/LRU eviction
 //     finalizes and emits per-stream results before end of capture,
@@ -133,13 +136,13 @@ class StreamingAnalyzer {
   void push_frame(rtcc::util::BytesView wire, double ts,
                   std::uint32_t orig_len = 0);
 
-  /// Ends the capture: drains the flow table, computes every stream
-  /// disposition with the batch filter's exact semantics, finalizes
-  /// kept flows, and returns the merged analysis (byte-identical to
-  /// the batch path when no flow was split; `flows` carries the
-  /// streaming diagnostics either way). When `per_stream` is non-null
-  /// it receives the kept per-stream partials in stream-table order,
-  /// matching analyze_trace's out-param. Call at most once.
+  /// Ends the capture: drains the flow table, classifies every stream
+  /// with the batch pipeline's classifier, finalizes kept flows, and
+  /// returns the merged analysis (byte-identical to the batch path
+  /// when no flow was split; `flows` carries the streaming diagnostics
+  /// either way). When `per_stream` is non-null it receives the kept
+  /// per-stream partials in stream-table order, matching
+  /// analyze_trace's out-param. Call at most once.
   [[nodiscard]] rtcc::report::CallAnalysis finish(
       std::vector<rtcc::report::CallAnalysis>* per_stream = nullptr);
 
@@ -192,13 +195,10 @@ class StreamingAnalyzer {
   /// (or submits) the batch analysis core into rec.partial.
   void analyze_record(FlowRecord& rec, std::shared_ptr<FlowPayload> payload);
   void update_peak();
-  /// Per-record dispositions under the evidence accumulated so far —
-  /// the batch filter's exact stage semantics over retained metadata.
-  /// At finish() (all flows retired) this is the batch pipeline's
-  /// disposition vector.
-  [[nodiscard]] std::vector<rtcc::filter::Disposition> compute_dispositions()
-      const;
   /// Emits one epoch through the sink and resets the window counters.
+  /// Dispositions are `precomputed` or else classified from the records
+  /// under the evidence accumulated so far; at finish() (all flows
+  /// retired) they are the batch pipeline's disposition vector.
   void emit_epoch(bool final_pass,
                   const std::vector<rtcc::filter::Disposition>* precomputed);
 

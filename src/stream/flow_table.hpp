@@ -8,9 +8,11 @@
 // the last touch) and an LRU capacity cap. Retiring a flow hands it to
 // the engine's eviction callback, which finalizes it (runs the batch
 // analysis core over its buffered payloads) and releases the heavy
-// state; the lightweight metadata (key, span, counts, SNI) is retained
-// for the whole capture because the two-stage filter's dispositions
-// need cross-flow evidence that is only complete at finish().
+// state; the lightweight filter::FlowSummary each record carries (key,
+// span, packet count, SNI) is retained for the whole capture because
+// the two-stage filter's dispositions need cross-flow evidence that is
+// only complete at finish() — filter::classify reads the records in
+// place.
 //
 // A packet arriving for an already-retired key re-opens the flow as a
 // *new* record (a split): the ledger counts it in flows_rekeyed, and
@@ -25,12 +27,10 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "net/stream_table.hpp"
+#include "filter/pipeline.hpp"
 #include "report/metrics.hpp"
 
 namespace rtcc::stream {
@@ -65,19 +65,16 @@ struct FlowPayload {
   }
 };
 
-struct FlowRecord {
+/// A flow's filter summary (key, span, packet count, SNI — what the
+/// §3.2 rules read, kept current per packet by the engine) plus its
+/// live state. The engine classifies retained records in place.
+struct FlowRecord : rtcc::filter::FlowSummary {
   static constexpr std::size_t kNil = ~std::size_t{0};
 
-  rtcc::net::FlowKey key;
   std::uint64_t ordinal = 0;  // creation order == stream-table order
-  double first_ts = 0.0;      // min packet ts (pcap ts are not monotonic)
-  double last_ts = 0.0;       // max packet ts
   double last_active = 0.0;   // monotonic clock at last touch (idle expiry)
-  std::uint64_t packet_count = 0;
   bool condemned = false;  // online keep/drop verdict: can never be kept
   bool retired = false;    // left the live set (evicted or drained)
-  std::uint8_t sni_probed = 0;      // TCP packets probed for a ClientHello
-  std::optional<std::string> sni;   // first SNI seen in the probe window
   std::shared_ptr<FlowPayload> payload;  // null once condemned/finalized
   std::unique_ptr<rtcc::report::CallAnalysis> partial;  // after analysis
   /// Sharded analysis handoff: the worker publishes (release) when
@@ -98,7 +95,7 @@ struct FlowRecord {
 /// Live-flow index + retained record log. Records never move (deque)
 /// and are never discarded — ordinal order is the stream-table order
 /// the batch path would have produced, which the engine's finish()
-/// replays for disposition accounting and partial merging.
+/// replays for classification, the Table 1 tally and partial merging.
 class FlowTable {
  public:
   struct Budgets {

@@ -721,6 +721,58 @@ std::optional<std::string> diff_from_batch(
   return std::nullopt;
 }
 
+/// Per-flow dispositions the batch filter assigns, indexed like the
+/// stream table.
+std::vector<rtcc::filter::Disposition> batch_dispositions(
+    const net::Trace& trace, const rtcc::filter::FilterConfig& fcfg) {
+  return rtcc::filter::run_pipeline(trace, net::group_streams(trace), fcfg)
+      .dispositions;
+}
+
+/// Installs an epoch sink on `engine` that keeps each ordinal's latest
+/// disposition; after finish() (whose final pass settles every flow)
+/// `out` holds the final verdicts in ordinal order.
+void record_dispositions(rtcc::stream::StreamingAnalyzer& engine,
+                         std::vector<rtcc::filter::Disposition>& out) {
+  engine.set_epoch(0.0, [&out](const rtcc::stream::EpochReport& ep) {
+    for (const auto& v : ep.verdicts) {
+      if (v.ordinal >= out.size()) out.resize(v.ordinal + 1);
+      out[v.ordinal] = v.disposition;
+    }
+  });
+}
+
+/// analyze_trace_streaming with the final verdicts recorded.
+rtcc::report::CallAnalysis stream_with_verdicts(
+    const net::Trace& trace, const rtcc::filter::FilterConfig& fcfg,
+    const rtcc::report::AnalysisOptions& opts,
+    const rtcc::stream::StreamOptions& sopts,
+    std::vector<rtcc::filter::Disposition>& dispositions,
+    std::vector<rtcc::report::CallAnalysis>* per_stream = nullptr) {
+  rtcc::stream::StreamingAnalyzer engine(trace.linktype(), fcfg, opts, sopts);
+  engine.capture_stats() = trace.ingest();
+  record_dispositions(engine, dispositions);
+  for (const auto& frame : trace.frames())
+    engine.push_frame(trace.bytes(frame), frame.ts, frame.orig_len);
+  return engine.finish(per_stream);
+}
+
+/// First flow whose final streaming verdict differs from the batch
+/// filter's disposition.
+std::optional<std::string> diff_dispositions(
+    const std::vector<rtcc::filter::Disposition>& got,
+    const std::vector<rtcc::filter::Disposition>& ref) {
+  if (got.size() != ref.size())
+    return std::to_string(got.size()) + " flow verdicts, batch filtered " +
+           std::to_string(ref.size()) + " streams";
+  for (std::size_t i = 0; i < got.size(); ++i)
+    if (got[i] != ref[i])
+      return "flow " + std::to_string(i) + " verdict " +
+             rtcc::filter::to_string(got[i]) + ", batch " +
+             rtcc::filter::to_string(ref[i]);
+  return std::nullopt;
+}
+
 }  // namespace
 
 std::optional<std::string> check_shard_parity(
@@ -778,17 +830,21 @@ std::optional<std::string> check_stream_parity(
     ref = rtcc::report::analyze_trace(trace, fcfg, opts, &ref_parts);
     ref_json = strip(ref);
   }
+  const auto ref_disp = batch_dispositions(trace, fcfg);
 
   // 1. In-memory streaming at the default unbounded budgets: no flow
-  // can split, so merged report and per-stream partials must be
-  // byte-identical to batch.
+  // can split, so merged report, per-stream partials and every flow's
+  // final verdict must be identical to batch.
   {
     std::vector<rtcc::report::CallAnalysis> parts;
-    const auto got = rtcc::stream::analyze_trace_streaming(
-        trace, fcfg, opts, rtcc::stream::StreamOptions{}, &parts);
+    std::vector<rtcc::filter::Disposition> disp;
+    const auto got = stream_with_verdicts(
+        trace, fcfg, opts, rtcc::stream::StreamOptions{}, disp, &parts);
     if (got.flows.flows_rekeyed != 0)
       return "stream parity: unbounded budgets split a flow";
     if (auto err = diff_from_batch(got, parts, ref_json, ref_parts))
+      return "stream parity: unbounded streaming: " + *err;
+    if (auto err = diff_dispositions(disp, ref_disp))
       return "stream parity: unbounded streaming: " + *err;
   }
 
@@ -806,12 +862,15 @@ std::optional<std::string> check_stream_parity(
       const rtcc::stream::StreamModeGuard off(false);
       file_ref_json = strip(rtcc::report::analyze_trace(*decoded, fcfg, opts));
     }
+    const auto file_ref_disp = batch_dispositions(*decoded, fcfg);
     for (const std::size_t chunk :
          {std::size_t{1}, std::size_t{7}, std::size_t{256},
           std::size_t{4096}}) {
       rtcc::stream::MemoryChunkSource source(BytesView{pcap});
+      std::vector<rtcc::filter::Disposition> disp;
       rtcc::stream::StreamingAnalyzer engine(net::kLinkEthernet, fcfg, opts,
                                              rtcc::stream::StreamOptions{});
+      record_dispositions(engine, disp);
       if (!rtcc::stream::stream_pcap(source, engine, chunk, &error)) {
         std::ostringstream err;
         err << "stream parity: chunked reader failed at chunk=" << chunk
@@ -822,6 +881,11 @@ std::optional<std::string> check_stream_parity(
         std::ostringstream err;
         err << "stream parity: chunk=" << chunk
             << " report differs from the whole-file batch decode";
+        return err.str();
+      }
+      if (auto bad = diff_dispositions(disp, file_ref_disp)) {
+        std::ostringstream err;
+        err << "stream parity: chunk=" << chunk << ": " << *bad;
         return err.str();
       }
     }
@@ -836,8 +900,8 @@ std::optional<std::string> check_stream_parity(
       {.max_flows = 3, .idle_timeout_s = 0.25},
   };
   for (const auto& sopts : budget_sweep) {
-    const auto got =
-        rtcc::stream::analyze_trace_streaming(trace, fcfg, opts, sopts);
+    std::vector<rtcc::filter::Disposition> disp;
+    const auto got = stream_with_verdicts(trace, fcfg, opts, sopts, disp);
     const rtcc::report::FlowStats& fs = got.flows;
     std::ostringstream err;
     if (fs.flows_rekeyed == 0) {
@@ -845,6 +909,11 @@ std::optional<std::string> check_stream_parity(
         err << "stream parity: budgets (flows=" << sopts.max_flows
             << ", idle=" << sopts.idle_timeout_s
             << ") caused no split but changed the report";
+        return err.str();
+      }
+      if (auto bad = diff_dispositions(disp, ref_disp)) {
+        err << "stream parity: budgets (flows=" << sopts.max_flows
+            << ", idle=" << sopts.idle_timeout_s << "): " << *bad;
         return err.str();
       }
       continue;

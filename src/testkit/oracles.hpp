@@ -92,6 +92,8 @@ namespace rtcc::testkit {
 /// knob-dependent "flows"/"shards" diagnostics); (c) must be
 /// byte-identical when no flow was split and must satisfy the volume /
 /// stage-bucket / flow-ledger conservation identities when one was.
+/// Every unsplit run must also give each flow the final verdict
+/// (FlowVerdict::disposition) filter::run_pipeline gives its stream.
 /// The live equivalence oracle behind RTCC_STREAM (DESIGN.md §6c).
 [[nodiscard]] std::optional<std::string> check_stream_parity(
     const std::vector<rtcc::util::Bytes>& datagrams);

@@ -2,7 +2,9 @@
 // seam. Epochs control emission cadence, never flow retirement, so the
 // merged analysis must be invariant under epoch length — the acceptance
 // sweep {100ms, 1s, 10s, inf} must reconcile with the batch report
-// exactly, at unbounded and tight budgets, unsharded and sharded.
+// exactly, at unbounded and tight budgets, unsharded and sharded, and
+// at unbounded budgets every flow's final verdict must equal the batch
+// filter's disposition for its stream.
 // Under test as well: the conservation identities a verdict-stream
 // consumer relies on (every ordinal exactly once with amends = false,
 // epoch frame/byte sums equal the pushed totals), the one-way
@@ -92,10 +94,13 @@ report::CallAnalysis run_with_epochs(const net::Trace& trace,
 }
 
 /// Replays the log into final per-ordinal state + checks the stream's
-/// local invariants.
+/// local invariants. With `batch` (runs where no flow split, so
+/// ordinals are stream-table indices) every ordinal's final disposition
+/// must also equal run_pipeline's for that stream.
 std::map<std::uint64_t, Disposition> reconcile(
     const std::vector<EpochLog>& log, std::uint64_t expect_frames,
-    std::uint64_t expect_bytes) {
+    std::uint64_t expect_bytes,
+    const std::vector<Disposition>* batch = nullptr) {
   std::uint64_t frames = 0, bytes = 0;
   std::map<std::uint64_t, Disposition> state;
   for (const auto& ep : log) {
@@ -129,6 +134,15 @@ std::map<std::uint64_t, Disposition> reconcile(
   EXPECT_EQ(frames, expect_frames);
   EXPECT_EQ(bytes, expect_bytes);
   EXPECT_TRUE(log.empty() || log.back().final_pass);
+  if (batch != nullptr) {
+    EXPECT_EQ(state.size(), batch->size());
+    for (const auto& [ord, d] : state) {
+      if (ord >= batch->size()) continue;
+      EXPECT_EQ(d, (*batch)[ord]) << "ordinal " << ord << ": streaming "
+                                  << rtcc::filter::to_string(d) << ", batch "
+                                  << rtcc::filter::to_string((*batch)[ord]);
+    }
+  }
   return state;
 }
 
@@ -136,6 +150,10 @@ TEST(Epoch, SweepReconcilesWithBatchAtEveryLengthBudgetAndShardCount) {
   const auto call = fixture_call();
   const auto fcfg = emul::group_filter_config(call);
   const stream::StreamModeGuard batch_ref(false);
+  const auto batch_disp =
+      rtcc::filter::run_pipeline(call.trace, net::group_streams(call.trace),
+                                 fcfg)
+          .dispositions;
 
   std::uint64_t wire_bytes = 0;
   for (const auto& frame : call.trace.frames())
@@ -169,7 +187,8 @@ TEST(Epoch, SweepReconcilesWithBatchAtEveryLengthBudgetAndShardCount) {
         }
 
         const auto state =
-            reconcile(log, call.trace.frames().size(), wire_bytes);
+            reconcile(log, call.trace.frames().size(), wire_bytes,
+                      sopts == &unbounded ? &batch_disp : nullptr);
         // Every flow the ledger saw got exactly one non-amendment
         // verdict, and the reconciled per-disposition stream counts
         // match the merged Table-1 accounting.

@@ -1,11 +1,14 @@
-// Two-stage filtering pipeline (§3.2): per-stage unit tests plus a
-// ground-truth precision/recall test on a fully emulated call.
+// Two-stage filtering pipeline (§3.2): per-stage unit tests, the rule
+// precedence over hand-built flow summaries, batch/streaming agreement
+// on a flow several rules match, plus a ground-truth precision/recall
+// test on a fully emulated call.
 #include <gtest/gtest.h>
 
 #include "emul/app_model.hpp"
 #include "emul/background.hpp"
 #include "filter/pipeline.hpp"
 #include "proto/tls/client_hello.hpp"
+#include "stream/engine.hpp"
 
 namespace rtcc::filter {
 namespace {
@@ -27,21 +30,21 @@ CallSchedule schedule() {
   return s;
 }
 
-rtcc::net::Stream make_stream(double first, double last) {
-  rtcc::net::Stream s;
-  s.first_ts = first;
-  s.last_ts = last;
-  return s;
+FlowSummary make_summary(double first, double last) {
+  FlowSummary f;
+  f.first_ts = first;
+  f.last_ts = last;
+  return f;
 }
 
 TEST(TimespanFilter, EnclosureRules) {
   const auto sched = schedule();
-  EXPECT_TRUE(enclosed_in_window(make_stream(61, 359), sched));
+  EXPECT_TRUE(enclosed_in_window(make_summary(61, 359), sched));
   // The ±2 s slack (§3.2.1).
-  EXPECT_TRUE(enclosed_in_window(make_stream(58.5, 361.5), sched));
-  EXPECT_FALSE(enclosed_in_window(make_stream(30, 200), sched));   // starts before
-  EXPECT_FALSE(enclosed_in_window(make_stream(100, 400), sched));  // ends after
-  EXPECT_FALSE(enclosed_in_window(make_stream(10, 410), sched));   // spans both
+  EXPECT_TRUE(enclosed_in_window(make_summary(58.5, 361.5), sched));
+  EXPECT_FALSE(enclosed_in_window(make_summary(30, 200), sched));   // starts before
+  EXPECT_FALSE(enclosed_in_window(make_summary(100, 400), sched));  // ends after
+  EXPECT_FALSE(enclosed_in_window(make_summary(10, 410), sched));   // spans both
 }
 
 TEST(SniFilter, SuffixMatchingRespectsLabels) {
@@ -61,6 +64,89 @@ TEST(PortFilter, DefaultListCoversPaperServices) {
     EXPECT_TRUE(ports.count(p)) << p;
   EXPECT_FALSE(ports.count(3478));  // STUN must never be excluded
   EXPECT_FALSE(ports.count(443));
+}
+
+FlowSummary summary(const char* a, std::uint16_t a_port, const char* b,
+                    std::uint16_t b_port, Transport transport, double first,
+                    double last, std::optional<std::string> sni = {}) {
+  FlowSummary f = make_summary(first, last);
+  f.key.a = *IpAddr::parse(a);
+  f.key.a_port = a_port;
+  f.key.b = *IpAddr::parse(b);
+  f.key.b_port = b_port;
+  f.key.transport = transport;
+  f.packet_count = 2;
+  f.sni = std::move(sni);
+  return f;
+}
+
+TEST(Classify, RulePrecedenceIsStage1ThenTupleSniLocalIpPort) {
+  FilterConfig cfg;
+  cfg.schedule = schedule();
+  cfg.excluded_ports = default_excluded_ports();
+  cfg.sni_blocklist = {"blocked.example.com"};
+  cfg.device_ips = {*IpAddr::parse("192.168.1.10"),
+                    *IpAddr::parse("192.168.1.11")};
+  const std::string blocked = "blocked.example.com";
+  const auto tcp = Transport::kTcp;
+  const auto udp = Transport::kUdp;
+  // Every in-window flow below talks to the LAN neighbour .23 on an
+  // excluded port unless noted; each drops one more rule than the last.
+  const std::vector<FlowSummary> flows = {
+      // Pre-call witness: out of the window, so stage 1 removes it even
+      // though every stage-2 rule matches too. It seeds the 3-tuple
+      // (.23, 53, tcp) and the precall pair (.10, .23).
+      summary("192.168.1.10", 6000, "192.168.1.23", 53, tcp, 10, 20, blocked),
+      // 3-tuple + SNI + local-IP + port → 3-tuple.
+      summary("192.168.1.10", 6100, "192.168.1.23", 53, tcp, 100, 101,
+              blocked),
+      // SNI + local-IP + port → SNI.
+      summary("192.168.1.10", 6101, "192.168.1.23", 67, tcp, 100, 101,
+              blocked),
+      // Local-IP + port → local-IP.
+      summary("192.168.1.10", 6102, "192.168.1.23", 123, udp, 100, 101),
+      // Port only (a public resolver, no precall history) → port.
+      summary("8.8.8.8", 53, "192.168.1.10", 6103, udp, 100, 101),
+      // Nothing matches → kept.
+      summary("192.168.1.10", 5000, "203.0.113.1", 3478, udp, 100, 101),
+  };
+  std::vector<const FlowSummary*> refs;
+  for (const auto& f : flows) refs.push_back(&f);
+  EXPECT_EQ(classify(refs, cfg),
+            (std::vector<Disposition>{
+                Disposition::kStage1Timespan, Disposition::kStage2ThreeTuple,
+                Disposition::kStage2Sni, Disposition::kStage2LocalIp,
+                Disposition::kStage2Port, Disposition::kKept}));
+
+  const auto report = tally(refs, classify(refs, cfg));
+  EXPECT_EQ(report.stage1_tcp.streams, 1u);
+  EXPECT_EQ(report.stage2_tcp.streams, 2u);
+  EXPECT_EQ(report.stage2_udp.streams, 2u);
+  EXPECT_EQ(report.stage2_udp.packets, 4u);
+  EXPECT_EQ(report.rtc_udp_streams, (std::vector<std::size_t>{5}));
+}
+
+TEST(SniProbe, FirstHitInTheLeadingTcpPacketsOnly) {
+  const Bytes hello = rtcc::proto::tls::build_client_hello("a.example.com");
+  FlowSummary tcp;
+  tcp.key.transport = Transport::kTcp;
+  probe_sni(tcp, 0, BytesView{});  // an empty payload uses up its slot
+  probe_sni(tcp, 1, BytesView{hello});
+  ASSERT_TRUE(tcp.sni.has_value());
+  EXPECT_EQ(*tcp.sni, "a.example.com");
+  // The first SNI found stays.
+  probe_sni(tcp, 2,
+            BytesView{rtcc::proto::tls::build_client_hello("b.example.com")});
+  EXPECT_EQ(*tcp.sni, "a.example.com");
+
+  FlowSummary late;
+  late.key.transport = Transport::kTcp;
+  probe_sni(late, kSniProbeWindow, BytesView{hello});
+  EXPECT_FALSE(late.sni.has_value());
+
+  FlowSummary udp;
+  probe_sni(udp, 0, BytesView{hello});
+  EXPECT_FALSE(udp.sni.has_value());
 }
 
 /// Assembles a trace with one frame per description for pipeline tests.
@@ -182,6 +268,34 @@ TEST(Pipeline, SniFilterRemovesBlockedDomains) {
     EXPECT_EQ(report.dispositions[i],
               blocked ? Disposition::kStage2Sni : Disposition::kKept);
   }
+}
+
+TEST(Pipeline, SniOutranksPortInBatchAndStreamingVerdicts) {
+  // An in-window TCP flow to an excluded port (DNS) that opens with a
+  // ClientHello for a blocklisted name: both the SNI and the port rule
+  // match, and the verdict must name SNI, the first in rule order, on
+  // both front ends.
+  PipelineFixture f;
+  f.add_tcp(100, "192.168.1.10", 6100, "198.51.100.50", 53,
+            rtcc::proto::tls::build_client_hello("blocked.example.com"));
+  f.add_tcp(101, "192.168.1.10", 6100, "198.51.100.50", 53, Bytes(30, 2));
+
+  const auto report = f.run();
+  ASSERT_EQ(report.dispositions.size(), 1u);
+  EXPECT_EQ(report.dispositions[0], Disposition::kStage2Sni);
+
+  rtcc::stream::StreamingAnalyzer engine(f.trace.linktype(), f.cfg);
+  std::vector<Disposition> final_verdicts;
+  engine.set_epoch(0.0, [&](const rtcc::stream::EpochReport& ep) {
+    if (!ep.final_pass) return;
+    for (const auto& v : ep.verdicts) final_verdicts.push_back(v.disposition);
+  });
+  for (const auto& frame : f.trace.frames())
+    engine.push_frame(f.trace.bytes(frame), frame.ts, frame.orig_len);
+  const auto analysis = engine.finish();
+  ASSERT_EQ(final_verdicts.size(), 1u);
+  EXPECT_EQ(final_verdicts[0], Disposition::kStage2Sni);
+  EXPECT_EQ(analysis.stage2_tcp.streams, 1u);
 }
 
 TEST(Pipeline, LocalIpFilterNeedsPrecallEvidence) {
