@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <chrono>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "crypto/hmac.hpp"
@@ -397,8 +396,8 @@ BENCHMARK(BM_ScenarioScaling)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-/// The mid-size relay call shared by the streaming, shard and
-/// transform benches.
+/// The mid-size relay call shared by the streaming and transform
+/// benches.
 const emul::EmulatedCall& mid_relay_call() {
   static const emul::EmulatedCall call = [] {
     emul::CallConfig cfg;
@@ -410,38 +409,6 @@ const emul::EmulatedCall& mid_relay_call() {
   }();
   return call;
 }
-
-/// Flow-sharding scaling curve: the streaming engine, sharding's only
-/// consumer, over BM_StreamingVsBatch's call with the shard count
-/// pinned per run (arg = RTCC_SHARDS equivalent; 1 = flows analyzed
-/// inline). Real time vs process CPU time separates speedup from
-/// parallel overhead (the merged output is byte-identical at every
-/// point — the shard-parity oracle's claim — so this measures cost
-/// only). Published as BENCH_shard.json by the release-bench CI job.
-void BM_ShardScaling(benchmark::State& state) {
-  const auto& call = mid_relay_call();
-  static const filter::FilterConfig fcfg = emul::filter_config_for(call);
-  report::AnalysisOptions opts;
-  opts.shards = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    auto analysis = stream::analyze_trace_streaming(call.trace, fcfg, opts,
-                                                    stream::StreamOptions{});
-    benchmark::DoNotOptimize(analysis);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(call.trace.total_bytes()));
-  state.counters["shards"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_ShardScaling)
-    ->Apply([](benchmark::internal::Benchmark* b) {
-      const auto hw = std::thread::hardware_concurrency();
-      b->Arg(1)->Arg(2)->Arg(4);
-      if (hw > 4) b->Arg(static_cast<long>(hw));
-      b->ArgNames({"shards"})
-          ->Unit(benchmark::kMillisecond)
-          ->MeasureProcessCPUTime()
-          ->UseRealTime();
-    });
 
 /// Streaming vs batch over the same mid-size relay call: arg 0 = the
 /// batch path (whole Trace in memory), arg 1 = the one-pass engine fed

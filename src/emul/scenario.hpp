@@ -5,8 +5,8 @@
 // it; a ScenarioSpec is its catalogue entry (name, summary, builder).
 // Registration here is what makes a new workload real: the metamorphic
 // driver (testkit::meta) runs every catalogue entry through the
-// transform × oracle grid, test_scenario_matrix pins streaming/sharded
-// parity per entry, the corpus runner appends per-scenario rows to the
+// transform × oracle grid, test_scenario_matrix pins streaming (serial
+// and pooled) parity per entry, the corpus runner appends per-scenario rows to the
 // compliance matrix (CorpusOptions::scenario_repeats), and
 // examples/scenario_pcap writes any entry as a pcap for `rtccd` — so a
 // scenario is born with oracle coverage or it doesn't exist.

@@ -136,13 +136,6 @@ CorpusResult run_corpus(const CorpusOptions& opts) {
   std::vector<std::uint64_t> trace_bytes(jobs.size());
   std::vector<std::uint64_t> frames(jobs.size());
 
-  // On the pooled path per-call analysis runs unsharded: the pool
-  // already keeps every core busy with whole calls. The streaming engine
-  // (RTCC_STREAM=1) honours `shards`, and a shard pipeline per pool task
-  // would oversubscribe. The serial path keeps the caller's setting.
-  AnalysisOptions analysis_opts = cfg.analysis;
-  if (!serial) analysis_opts.shards = 1;
-
   const auto started = std::chrono::steady_clock::now();
 
   const auto run_one = [&](std::size_t i) {
@@ -169,7 +162,7 @@ CorpusResult run_corpus(const CorpusOptions& opts) {
       }
       bytes = trace.total_bytes();
       gate.add_bytes(bytes);
-      analyses[i] = analyze_trace(trace, fcfg, analysis_opts);
+      analyses[i] = analyze_trace(trace, fcfg, cfg.analysis);
       trace_bytes[i] = bytes;
       frames[i] = trace.size();
     }

@@ -65,28 +65,10 @@ void write_analysis(JsonWriter& w, const CallAnalysis& a) {
     w.end_object();
   }
 
-  // Flow-sharding diagnostics (DESIGN.md §7): one row per shard
-  // worker. Present only when the sharded path ran — the split depends
-  // on RTCC_SHARDS, so (like "nodes") parity signatures exclude it and
-  // goldens, produced with shards pinned to 1, never contain it.
-  if (!a.shards.empty()) {
-    w.key("shards").begin_array();
-    for (const auto& s : a.shards) {
-      w.begin_object();
-      w.key("streams").value(s.streams);
-      w.key("handoff_vectors").value(s.handoff_vectors);
-      w.key("datagrams").value(s.datagrams);
-      w.key("payload_bytes").value(s.payload_bytes);
-      w.key("messages").value(s.messages);
-      w.end_object();
-    }
-    w.end_array();
-  }
-
   // Streaming-engine flow-table diagnostics (DESIGN.md §6c): present
-  // only on the RTCC_STREAM path. Knob-dependent like "nodes" and
-  // "shards", so parity signatures strip it and goldens (produced with
-  // streaming pinned off) never contain it.
+  // only on the RTCC_STREAM path. Knob-dependent like "nodes", so
+  // parity signatures strip it and goldens (produced with streaming
+  // pinned off) never contain it.
   if (a.flows.any()) {
     w.key("flows").begin_object();
     w.key("flows_seen").value(a.flows.flows_seen);

@@ -236,12 +236,6 @@ void merge(CallAnalysis& into, const CallAnalysis& from) {
   into.dpi_candidates += from.dpi_candidates;
   into.dpi_messages += from.dpi_messages;
   into.nodes.merge(from.nodes);
-  if (!from.shards.empty()) {
-    if (into.shards.size() < from.shards.size())
-      into.shards.resize(from.shards.size());
-    for (std::size_t s = 0; s < from.shards.size(); ++s)
-      into.shards[s].merge(from.shards[s]);
-  }
   into.flows.merge(from.flows);
   into.ingest.merge(from.ingest);
   for (const auto& [proto, pstats] : from.protocols) {
@@ -268,6 +262,12 @@ std::string to_string(ExecMode m) {
   return "?";
 }
 
+bool parallel_enabled() {
+  // A value outside the boolean grammar warns and keeps the pooled
+  // default.
+  return rtcc::util::env_knob_bool("RTCC_PARALLEL", true);
+}
+
 ExperimentConfig experiment_config_from_env() {
   ExperimentConfig cfg;
   cfg.media_scale = rtcc::util::env_knob_double("RTCC_SCALE",
@@ -278,14 +278,9 @@ ExperimentConfig experiment_config_from_env() {
       "RTCC_SEED", static_cast<long long>(cfg.seed), 0,
       std::numeric_limits<long long>::max()));
   // RTCC_PARALLEL=0/false/off forces fully serial execution (calls,
-  // per-call streams, and the streaming engine's shard workers);
-  // results are identical either way — the knob only changes dispatch. A value outside the boolean
-  // grammar warns and keeps the pooled default (it used to silently
-  // parse as 0 and go serial).
-  if (!rtcc::util::env_knob_bool("RTCC_PARALLEL", true)) {
-    cfg.exec = ExecMode::kSerial;
-    cfg.analysis.parallel_streams = false;
-  }
+  // and through cfg.analysis' default, per-call streams); results are
+  // identical either way — the knob only changes dispatch.
+  if (!parallel_enabled()) cfg.exec = ExecMode::kSerial;
   return cfg;
 }
 

@@ -15,21 +15,21 @@
 
 namespace rtcc::report {
 
+/// RTCC_PARALLEL (boolean, default on), read from the environment on
+/// each call: the default of AnalysisOptions::parallel_streams and of
+/// experiment_config_from_env's ExecMode, so every tool that builds
+/// analysis options honours the knob.
+[[nodiscard]] bool parallel_enabled();
+
 struct AnalysisOptions {
   rtcc::dpi::ScanOptions scan;
   rtcc::compliance::ComplianceConfig compliance;
-  /// Analyze a call's RTC UDP streams concurrently on the shared
-  /// thread pool. Per-stream partial results merge in stream order, so
-  /// output is identical to the serial loop. false also keeps the
-  /// streaming engine off its shard workers (RTCC_PARALLEL=0 means
-  /// fully serial).
-  bool parallel_streams = true;
-  /// Shard-worker count for the streaming engine (StreamingAnalyzer,
-  /// and analyze_trace under RTCC_STREAM=1); the batch path ignores it.
-  /// 0 defers to the global RTCC_SHARDS knob (report/shard.hpp); 1
-  /// analyzes flows inline; N > 1 routes flows to N shard workers by
-  /// symmetric 5-tuple hash. Output is bit-identical for every value
-  /// (DESIGN.md §7).
+  /// Analyze a call's RTC UDP streams (the streaming engine: the flows
+  /// still live at finish()) concurrently on the shared thread pool.
+  /// Per-stream partial results merge in stream order, so output is
+  /// identical to the serial loop.
+  bool parallel_streams = parallel_enabled();
+  /// Read by nothing; kept because the benchmark harness still sets it.
   std::size_t shards = 0;
 };
 
@@ -52,28 +52,8 @@ struct ProtocolStats {
   [[nodiscard]] std::size_t total_types() const { return types.size(); }
 };
 
-/// Per-shard work accounting for the streaming engine's shard workers
-/// (report/shard.hpp). Diagnostic, like PipelineCounters: the split
-/// depends on RTCC_SHARDS, so equivalence signatures and the parity
-/// oracles exclude it (the report JSON surfaces it under "shards").
-struct ShardStat {
-  std::uint64_t streams = 0;        // streams routed to this shard
-  std::uint64_t handoff_vectors = 0;  // ring items received
-  std::uint64_t datagrams = 0;
-  std::uint64_t payload_bytes = 0;
-  std::uint64_t messages = 0;  // DPI messages extracted on this shard
-
-  void merge(const ShardStat& from) {
-    streams += from.streams;
-    handoff_vectors += from.handoff_vectors;
-    datagrams += from.datagrams;
-    payload_bytes += from.payload_bytes;
-    messages += from.messages;
-  }
-};
-
 /// Flow-table accounting from the streaming engine (stream/engine.hpp).
-/// Diagnostic, like ShardStat: populated only on the RTCC_STREAM path,
+/// Diagnostic, like PipelineCounters: populated only on the RTCC_STREAM path,
 /// so equivalence signatures and the stream-parity oracle exclude it
 /// (the report JSON surfaces it under "flows"). Peaks take max() on
 /// merge — summing concurrent-flow peaks across calls would fabricate
@@ -133,17 +113,10 @@ struct CallAnalysis {
   // them under "nodes").
   rtcc::dpi::PipelineCounters nodes;
 
-  // --- Flow-sharding diagnostics (DESIGN.md §7) ---
-  // One row per shard worker, filled only by the streaming engine's
-  // sharded path. Each per-stream partial carries a full-width vector
-  // with only its own shard's row populated, so merge() aggregates
-  // per-shard totals at every level. Empty on every other path.
-  std::vector<ShardStat> shards;
-
   // --- Streaming-engine diagnostics (DESIGN.md §6c) ---
   // Flow-table counters from the one-pass engine; all-zero on the
   // batch path. Knob-dependent (RTCC_STREAM + eviction budgets), so
-  // signatures exclude it like `nodes` and `shards`.
+  // signatures exclude it like `nodes`.
   FlowStats flows;
 
   // --- Ingestion diagnostics (all-zero for synthetic traces) ---

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "report/shard.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rtcc::stream {
 
@@ -12,14 +12,6 @@ using rtcc::report::CallAnalysis;
 
 namespace {
 
-/// Shard workers this engine runs: the per-call override, else the
-/// global RTCC_SHARDS knob; forced to 1 when parallelism is off
-/// entirely.
-std::size_t effective_shards(const rtcc::report::AnalysisOptions& opts) {
-  if (!opts.parallel_streams) return 1;
-  return opts.shards != 0 ? opts.shards : rtcc::report::shard_count();
-}
-
 /// The retained records as the filter's flow set, read in place.
 std::vector<const rtcc::filter::FlowSummary*> flow_set(
     const std::deque<FlowRecord>& records) {
@@ -27,6 +19,33 @@ std::vector<const rtcc::filter::FlowSummary*> flow_set(
   flows.reserve(records.size());
   for (const FlowRecord& rec : records) flows.push_back(&rec);
   return flows;
+}
+
+/// The batch path's per-stream core over one flow's buffered payloads:
+/// the whole-flow batch in arrival order (exactly the batch
+/// analyze_trace's per-stream chunk loop builds), with the decode-node
+/// counters booked as that loop books them. Touches only `payload` and
+/// `part`, so flows can be analyzed concurrently.
+void analyze_payload(const rtcc::dpi::ScanningDpi& dpi,
+                     const rtcc::compliance::ComplianceConfig& ccfg,
+                     const FlowPayload& payload, CallAnalysis& part) {
+  rtcc::net::PacketBatch batch;
+  const std::size_t n = payload.packets.size();
+  batch.reserve(n);
+  std::size_t off = 0;
+  for (const FlowPacket& fp : payload.packets) {
+    batch.push({payload.bytes.data() + off, fp.len}, fp.ts, fp.dir);
+    off += fp.len;
+    if (fp.reasm) ++part.nodes.decode.suspended;
+  }
+  // Decode-node accounting replays decode_stream_chunk's bsz chunking,
+  // so node counters stay consistent with the batch path.
+  constexpr std::size_t bsz = rtcc::net::kBatchSize;
+  for (std::size_t base = 0; base < n; base += bsz) {
+    ++part.nodes.decode.vectors;
+    part.nodes.decode.packets += std::min(n, base + bsz) - base;
+  }
+  rtcc::report::detail::analyze_stream_batch(dpi, ccfg, batch, part);
 }
 
 }  // namespace
@@ -41,9 +60,7 @@ StreamingAnalyzer::StreamingAnalyzer(std::uint32_t linktype,
       table_({sopts.max_flows, sopts.idle_timeout_s}),
       linktype_(linktype),
       decoder_(linktype),
-      dpi_(opts.scan),
-      in_flight_(std::make_shared<std::atomic<std::uint64_t>>(0)),
-      nshards_(effective_shards(opts)) {}
+      dpi_(opts.scan) {}
 
 StreamingAnalyzer::~StreamingAnalyzer() = default;
 
@@ -63,8 +80,7 @@ rtcc::net::IngestStats StreamingAnalyzer::ingest_totals() const {
 }
 
 std::uint64_t StreamingAnalyzer::live_bytes() const {
-  return live_flow_bytes_ + in_flight_->load(std::memory_order_relaxed) +
-         external_live_;
+  return live_flow_bytes_ + external_live_;
 }
 
 void StreamingAnalyzer::note_external_live(std::uint64_t bytes) {
@@ -78,12 +94,16 @@ void StreamingAnalyzer::update_peak() {
     table_.stats().live_peak_bytes = live;
 }
 
-void StreamingAnalyzer::condemn(FlowRecord& rec) {
-  rec.condemned = true;
+void StreamingAnalyzer::release_payload(FlowRecord& rec) {
   if (rec.payload) {
     live_flow_bytes_ -= rec.payload->footprint();
     rec.payload.reset();
   }
+}
+
+void StreamingAnalyzer::condemn(FlowRecord& rec) {
+  rec.condemned = true;
+  release_payload(rec);
 }
 
 void StreamingAnalyzer::push_frame(rtcc::util::BytesView wire, double ts,
@@ -125,7 +145,7 @@ void StreamingAnalyzer::push_frame(rtcc::util::BytesView wire, double ts,
     // never be kept, so its payloads never buffer.
     rec.condemned = rtcc::filter::port_excluded(key, fcfg_);
     if (!rec.condemned && rec.udp())
-      rec.payload = std::make_shared<FlowPayload>();
+      rec.payload = std::make_unique<FlowPayload>();
   } else {
     rec.first_ts = std::min(rec.first_ts, ts);
     rec.last_ts = std::max(rec.last_ts, ts);
@@ -162,72 +182,20 @@ void StreamingAnalyzer::push_frame(rtcc::util::BytesView wire, double ts,
 void StreamingAnalyzer::on_evict(FlowRecord& rec, EvictReason reason) {
   if (reason == EvictReason::kDrain) return;  // finish() analyzes kept flows
   // Mid-capture eviction drops the payload bytes, so the flow must be
-  // analyzed *now*, speculatively: whether it is kept is only known at
-  // finish(), which discards the partial if the flow ends up filtered.
+  // analyzed *now*, inline and speculatively: whether it is kept is
+  // only known at finish(), which discards the partial if the flow ends
+  // up filtered.
   if (rec.udp() && !rec.condemned && rec.payload &&
       !rec.payload->packets.empty()) {
-    auto payload = std::move(rec.payload);
-    live_flow_bytes_ -= payload->footprint();
-    analyze_record(rec, std::move(payload));
-  } else if (rec.payload) {
-    live_flow_bytes_ -= rec.payload->footprint();
-    rec.payload.reset();
+    start_analysis(rec);
+    analyze_payload(dpi_, opts_.compliance, *rec.payload, *rec.partial);
   }
+  release_payload(rec);
 }
 
-void StreamingAnalyzer::analyze_record(FlowRecord& rec,
-                                       std::shared_ptr<FlowPayload> payload) {
+void StreamingAnalyzer::start_analysis(FlowRecord& rec) {
   rec.partial = std::make_unique<CallAnalysis>();
-  CallAnalysis& part = *rec.partial;
   ++table_.stats().finalized;
-
-  // Whole-flow batch over the buffered payloads, in arrival order —
-  // exactly the batch the batch path's per-stream chunk loop builds.
-  rtcc::net::PacketBatch batch;
-  const std::size_t n = payload->packets.size();
-  batch.reserve(n);
-  std::size_t off = 0;
-  for (const FlowPacket& fp : payload->packets) {
-    batch.push({payload->bytes.data() + off, fp.len}, fp.ts, fp.dir);
-    off += fp.len;
-    if (fp.reasm) ++part.nodes.decode.suspended;
-  }
-  // Decode-node accounting replays decode_stream_chunk's bsz chunking,
-  // so node counters stay consistent with the batch path.
-  constexpr std::size_t bsz = rtcc::net::kBatchSize;
-  for (std::size_t base = 0; base < n; base += bsz) {
-    ++part.nodes.decode.vectors;
-    part.nodes.decode.packets += std::min(n, base + bsz) - base;
-  }
-
-  if (nshards_ > 1) {
-    if (!pipe_) {
-      rtcc::report::ShardedPipeline::Options popts;
-      popts.shards = nshards_;
-      popts.scan = opts_.scan;
-      popts.compliance = opts_.compliance;
-      pipe_ = std::make_unique<rtcc::report::ShardedPipeline>(popts);
-    }
-    // The keepalive pins the flow's payload buffer until the shard
-    // worker analyzed it; its deleter keeps the in-flight bytes in the
-    // live peak until then, and publishes the partial as readable —
-    // the worker stores *part before releasing the keepalive, so the
-    // release/acquire pair orders the epoch emitter after the write.
-    const std::uint64_t sz = payload->footprint();
-    in_flight_->fetch_add(sz, std::memory_order_relaxed);
-    rec.analysis_ready = std::make_shared<std::atomic<bool>>(false);
-    auto counter = in_flight_;
-    auto ready = rec.analysis_ready;
-    std::shared_ptr<const void> keep(
-        payload.get(), [payload, counter, sz, ready](const void*) mutable {
-          counter->fetch_sub(sz, std::memory_order_relaxed);
-          payload.reset();
-          ready->store(true, std::memory_order_release);
-        });
-    pipe_->submit_batch(rec.key, batch, &part, std::move(keep));
-  } else {
-    report::detail::analyze_stream_batch(dpi_, opts_.compliance, batch, part);
-  }
 }
 
 void StreamingAnalyzer::set_epoch(double epoch_s, EpochSink sink) {
@@ -264,19 +232,12 @@ void StreamingAnalyzer::emit_epoch(
   for (std::size_t i = 0; i < records.size(); ++i) {
     const FlowRecord& rec = records[i];
     EmitState& st = emitted_[i];
-    const bool ready =
-        !rec.analysis_ready ||
-        rec.analysis_ready->load(std::memory_order_acquire);
     const bool first = !st.emitted;
     if (first) {
-      if (!final_pass) {
-        // Provisional verdicts cover only retired flows (frozen span,
-        // frozen metadata) whose speculative analysis — if any — has
-        // drained out of the shard workers; anything else waits for a
-        // later epoch.
-        if (!rec.retired) continue;
-        if (rec.partial != nullptr && !ready) continue;
-      }
+      // Provisional verdicts cover only retired flows (frozen span,
+      // frozen metadata, analysis done); live ones wait for a later
+      // epoch.
+      if (!final_pass && !rec.retired) continue;
     } else if (st.disposition == disp[i]) {
       continue;  // verdict stands — emitted ordinals never repeat
     }
@@ -292,7 +253,7 @@ void StreamingAnalyzer::emit_epoch(
     v.final_pass = final_pass;
     v.amends = !first;
     if (disp[i] == rtcc::filter::Disposition::kKept && rec.udp() &&
-        rec.partial != nullptr && ready)
+        rec.partial != nullptr)
       v.partial = rec.partial.get();
     ep.verdicts.push_back(std::move(v));
   }
@@ -322,26 +283,39 @@ CallAnalysis StreamingAnalyzer::finish(std::vector<CallAnalysis>* per_stream) {
   out.ingest = ingest_totals();
   rtcc::report::detail::book_filter_report(filtered, out);
 
-  // ---- Finalize kept flows not already analyzed at eviction ----
+  // ---- Finalize kept flows not already analyzed at eviction. Flows
+  // are independent, so they fan out over the shared pool exactly as
+  // analyze_trace dispatches streams; each task touches only its own
+  // record, and the merge below runs in stream-table order. ----
+  std::vector<FlowRecord*> pending;
   for (std::size_t i : kept_udp) {
     FlowRecord& rec = records[i];
     if (rec.partial) continue;  // speculatively analyzed at eviction
-    auto payload = std::move(rec.payload);
-    live_flow_bytes_ -= payload->footprint();
-    analyze_record(rec, std::move(payload));
+    live_flow_bytes_ -= rec.payload->footprint();
+    start_analysis(rec);
+    pending.push_back(&rec);
   }
-  if (pipe_) pipe_->finish();
+  const auto analyze_one = [&](std::size_t k) {
+    FlowRecord& rec = *pending[k];
+    analyze_payload(dpi_, opts_.compliance, *rec.payload, *rec.partial);
+    rec.payload.reset();
+  };
+  if (opts_.parallel_streams && pending.size() > 1) {
+    rtcc::util::ThreadPool::shared().parallel_for(pending.size(), analyze_one);
+  } else {
+    for (std::size_t k = 0; k < pending.size(); ++k) analyze_one(k);
+  }
 
-  // ---- Final epoch: every shard has drained, every flow is retired,
-  // the evidence is complete — emit first-time verdicts for everything
-  // unemitted and amendments for any provisional verdict the complete
-  // evidence overturned. Runs before the partials move out below so
-  // kept verdicts can still point at their analyses. ----
+  // ---- Final epoch: every flow is retired and analyzed, the evidence
+  // is complete — emit first-time verdicts for everything unemitted
+  // and amendments for any provisional verdict the complete evidence
+  // overturned. Runs before the partials move out below so kept
+  // verdicts can still point at their analyses. ----
   emit_epoch(/*final_pass=*/true, &filtered.dispositions);
 
   // ---- Merge in stream-table order (merge() is order-insensitive,
   // pinned by the merge-order oracle, so this matches the batch path's
-  // stream- and shard-order merges byte for byte) ----
+  // stream-order merge byte for byte) ----
   std::vector<CallAnalysis> partials;
   partials.reserve(kept_udp.size());
   for (std::size_t i : kept_udp) {

@@ -25,9 +25,14 @@
 //     validation and cover walk, and the two-phase compliance checker,
 //     are whole-stream stateful, so the flow is the unit of
 //     incrementality and byte-identity with batch holds by
-//     construction. TCP flows never buffer payloads; every TCP flow,
-//     condemned or not, feeds filter::probe_sni online, the same probe
-//     the batch pipeline runs over its stream table.
+//     construction. A flow retired mid-capture is analyzed inline on
+//     the pushing thread; the flows still live at finish() are
+//     independent tasks on the shared work-stealing pool
+//     (util/thread_pool.hpp), exactly as analyze_trace dispatches its
+//     streams, or a plain loop when parallel_streams is off. TCP flows
+//     never buffer payloads; every TCP flow, condemned or not, feeds
+//     filter::probe_sni online, the same probe the batch pipeline runs
+//     over its stream table.
 //
 //   * bounded flow table (stream/flow_table.hpp) — idle/LRU eviction
 //     finalizes and emits per-stream results before end of capture,
@@ -41,7 +46,6 @@
 // RTCC_STREAM=1 body of report::analyze_trace).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -54,10 +58,6 @@
 #include "report/metrics.hpp"
 #include "stream/flow_table.hpp"
 #include "stream/stream_mode.hpp"
-
-namespace rtcc::report {
-class ShardedPipeline;
-}  // namespace rtcc::report
 
 namespace rtcc::stream {
 
@@ -164,8 +164,8 @@ class StreamingAnalyzer {
   void finish_epoch();
 
   /// Bytes currently buffered by the engine: live flow payloads plus
-  /// submitted-but-unfinished sharded work plus the reader's declared
-  /// buffer. The running peak lands in FlowStats::live_peak_bytes.
+  /// the reader's declared buffer. The running peak lands in
+  /// FlowStats::live_peak_bytes.
   [[nodiscard]] std::uint64_t live_bytes() const;
 
   /// The feeding reader declares its own buffer footprint so the peak
@@ -190,10 +190,10 @@ class StreamingAnalyzer {
  private:
   void on_evict(FlowRecord& rec, EvictReason reason);
   void condemn(FlowRecord& rec);
-  /// Builds the whole-flow batch from `payload`, books the decode-node
-  /// counters exactly as the batch path's chunk loop would, and runs
-  /// (or submits) the batch analysis core into rec.partial.
-  void analyze_record(FlowRecord& rec, std::shared_ptr<FlowPayload> payload);
+  void release_payload(FlowRecord& rec);
+  /// Gives `rec` the empty partial its analysis fills, counted as
+  /// finalized.
+  void start_analysis(FlowRecord& rec);
   void update_peak();
   /// Emits one epoch through the sink and resets the window counters.
   /// Dispositions are `precomputed` or else classified from the records
@@ -214,9 +214,6 @@ class StreamingAnalyzer {
   double clock_ = 0.0;  // max frame ts seen (pcap ts are not monotonic)
   std::uint64_t live_flow_bytes_ = 0;
   std::uint64_t external_live_ = 0;
-  std::shared_ptr<std::atomic<std::uint64_t>> in_flight_;  // sharded handoff
-  std::size_t nshards_ = 1;
-  std::unique_ptr<rtcc::report::ShardedPipeline> pipe_;
   bool finished_ = false;
 
   // ---- Epoch/window state (set_epoch) ----

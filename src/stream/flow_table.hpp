@@ -21,7 +21,6 @@
 // budgets no split is possible and streaming == batch exactly.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -54,8 +53,7 @@ struct FlowPacket {
 
 /// Heavy per-flow state: the payload copies the batch analysis core
 /// needs at finalization (DPI's cover walk re-parses raw bytes, so they
-/// must survive until the flow is analyzed). Held by shared_ptr so the
-/// sharded path can pin it past eviction while the table moves on.
+/// must survive until the flow is analyzed).
 struct FlowPayload {
   std::vector<std::uint8_t> bytes;  // concatenated datagram payloads
   std::vector<FlowPacket> packets;
@@ -75,13 +73,8 @@ struct FlowRecord : rtcc::filter::FlowSummary {
   double last_active = 0.0;   // monotonic clock at last touch (idle expiry)
   bool condemned = false;  // online keep/drop verdict: can never be kept
   bool retired = false;    // left the live set (evicted or drained)
-  std::shared_ptr<FlowPayload> payload;  // null once condemned/finalized
+  std::unique_ptr<FlowPayload> payload;  // null once condemned/finalized
   std::unique_ptr<rtcc::report::CallAnalysis> partial;  // after analysis
-  /// Sharded analysis handoff: the worker publishes (release) when
-  /// *partial is fully written; epoch emission loads (acquire) before
-  /// reading it. Null = partial is written synchronously, ready as soon
-  /// as it exists.
-  std::shared_ptr<std::atomic<bool>> analysis_ready;
 
   // Intrusive LRU links: indices into FlowTable's record deque.
   std::size_t lru_prev = kNil;

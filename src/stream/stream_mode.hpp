@@ -6,7 +6,7 @@
 // oracle, =1 routes analyze_trace through the streaming engine. Both
 // paths must produce byte-identical merged reports (after stripping the
 // knob-dependent "flows" diagnostic block, the same convention as
-// "nodes" and "shards") — testkit's check_stream_parity oracle and the
+// "nodes") — testkit's check_stream_parity oracle and the
 // metamorphic driver enforce this at every knob combination.
 #pragma once
 

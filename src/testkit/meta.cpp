@@ -525,10 +525,11 @@ std::string compliance_signature(
   return out.str();
 }
 
-AnalyzedCase analyze_case(const Trace& trace, const FilterConfig& cfg) {
+AnalyzedCase analyze_case(const Trace& trace, const FilterConfig& cfg,
+                          const rtcc::report::AnalysisOptions& opts) {
   AnalyzedCase out;
   std::vector<CallAnalysis> per_stream;
-  out.merged = rtcc::report::analyze_trace(trace, cfg, {}, &per_stream);
+  out.merged = rtcc::report::analyze_trace(trace, cfg, opts, &per_stream);
   out.signature = compliance_signature(out.merged, per_stream);
   return out;
 }

@@ -108,8 +108,9 @@ struct AnalyzedCase {
 };
 
 /// analyze_trace + compliance_signature in one call.
-[[nodiscard]] AnalyzedCase analyze_case(const rtcc::net::Trace& trace,
-                                        const rtcc::filter::FilterConfig& cfg);
+[[nodiscard]] AnalyzedCase analyze_case(
+    const rtcc::net::Trace& trace, const rtcc::filter::FilterConfig& cfg,
+    const rtcc::report::AnalysisOptions& opts = {});
 
 // ---- Invariant oracles (nullopt = holds) --------------------------------
 

@@ -661,7 +661,7 @@ namespace {
 
 /// Spreads the datagrams round-robin over several bidirectional flows
 /// (distinct port pairs; direction flips each lap) so flow-routed
-/// execution modes (shards, the streaming flow table) see a populated
+/// execution modes (the pool, the streaming flow table) see a populated
 /// multi-flow working set. Empty when nothing frameable survives.
 net::Trace multi_flow_trace(const std::vector<Bytes>& datagrams) {
   constexpr std::size_t kFlows = 8;
@@ -694,10 +694,9 @@ rtcc::filter::FilterConfig keep_all_filter_config() {
   return fcfg;
 }
 
-/// Report JSON with the knob-dependent diagnostics ("shards", "flows")
-/// dropped — the slice that must be execution-mode-invariant.
+/// Report JSON with the knob-dependent "flows" diagnostic dropped — the
+/// slice that must be execution-mode-invariant.
 std::string mode_invariant_json(rtcc::report::CallAnalysis a) {
-  a.shards.clear();
   a.flows = {};
   return rtcc::report::to_json(a);
 }
@@ -775,10 +774,9 @@ std::optional<std::string> diff_dispositions(
 
 }  // namespace
 
-std::optional<std::string> check_shard_parity(
+std::optional<std::string> check_pool_parity(
     const std::vector<Bytes>& datagrams) {
-  // Below two datagrams there is nothing to route: skip the (thread-
-  // spawning) sweep so tiny fuzz inputs stay cheap.
+  // Below two datagrams there is at most one flow: nothing to fan out.
   if (datagrams.size() < 2) return std::nullopt;
 
   const net::Trace trace = multi_flow_trace(datagrams);
@@ -796,15 +794,12 @@ std::optional<std::string> check_shard_parity(
         rtcc::report::analyze_trace(trace, fcfg, opts, &ref_parts));
   }
 
-  for (const std::size_t count : {std::size_t{2}, std::size_t{3},
-                                  std::size_t{8}}) {
-    opts.shards = count;
-    std::vector<rtcc::report::CallAnalysis> parts;
-    const auto got = rtcc::stream::analyze_trace_streaming(
-        trace, fcfg, opts, rtcc::stream::StreamOptions{}, &parts);
-    if (auto err = diff_from_batch(got, parts, ref_json, ref_parts))
-      return "shard parity at " + std::to_string(count) + " shards: " + *err;
-  }
+  opts.parallel_streams = true;
+  std::vector<rtcc::report::CallAnalysis> parts;
+  const auto got = rtcc::stream::analyze_trace_streaming(
+      trace, fcfg, opts, rtcc::stream::StreamOptions{}, &parts);
+  if (auto err = diff_from_batch(got, parts, ref_json, ref_parts))
+    return "pool parity: " + *err;
   return std::nullopt;
 }
 
@@ -818,7 +813,7 @@ std::optional<std::string> check_stream_parity(
   const auto& strip = mode_invariant_json;
 
   rtcc::report::AnalysisOptions opts;
-  opts.shards = 1;
+  opts.parallel_streams = false;
 
   // Batch reference with the knob pinned off, so the oracle stays the
   // authority when the whole suite runs under RTCC_STREAM=1.
@@ -966,7 +961,7 @@ std::optional<std::string> run_stream_oracles(
   if (auto err = check_arena_parity(datagrams)) return err;
   if (auto err = check_pcap_roundtrip(datagrams)) return err;
   if (auto err = check_checker_idempotence(datagrams)) return err;
-  if (auto err = check_shard_parity(datagrams)) return err;
+  if (auto err = check_pool_parity(datagrams)) return err;
   if (auto err = check_stream_parity(datagrams)) return err;
   return std::nullopt;
 }

@@ -74,14 +74,13 @@ namespace rtcc::testkit {
 [[nodiscard]] std::optional<std::string> check_simd_parity(
     const std::vector<rtcc::util::Bytes>& datagrams);
 
-/// The streaming engine's shard workers vs the unsharded batch path:
-/// the datagrams are spread across several bidirectional flows and
-/// analyzed by analyze_trace_streaming at shard counts {2, 3, 8}; the
-/// merged report and every per-stream partial must be byte-identical
-/// (after dropping the knob-dependent "shards"/"flows" diagnostics) at
-/// every count. The live equivalence oracle behind RTCC_SHARDS
-/// (DESIGN.md §7).
-[[nodiscard]] std::optional<std::string> check_shard_parity(
+/// The streaming engine finalizing its flows on the shared thread pool
+/// vs the batch path: the datagrams are spread across several
+/// bidirectional flows and analyzed by analyze_trace_streaming with
+/// parallel_streams on; the merged report and every per-stream partial
+/// must be byte-identical (after dropping the knob-dependent "flows"
+/// diagnostic). check_stream_parity covers the serial loop.
+[[nodiscard]] std::optional<std::string> check_pool_parity(
     const std::vector<rtcc::util::Bytes>& datagrams);
 
 /// Streaming analyze_trace vs the batch path: the same multi-flow trace
@@ -89,7 +88,7 @@ namespace rtcc::testkit {
 /// chunked pcap reader at read granularities {1, 7, 256, 4096}, and
 /// (c) under tight flow-table budgets that force mid-capture eviction.
 /// (a) and (b) must be byte-identical to batch (after dropping the
-/// knob-dependent "flows"/"shards" diagnostics); (c) must be
+/// knob-dependent "flows" diagnostic); (c) must be
 /// byte-identical when no flow was split and must satisfy the volume /
 /// stage-bucket / flow-ledger conservation identities when one was.
 /// Every unsplit run must also give each flow the final verdict

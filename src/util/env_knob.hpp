@@ -1,6 +1,6 @@
 // Hardened RTCC_* environment-knob parsing.
 //
-// Every runtime knob in the tree (RTCC_SCALE, RTCC_SHARDS,
+// Every runtime knob in the tree (RTCC_SCALE, RTCC_PARALLEL,
 // RTCC_STREAM_*, ...) used to go through bare atoi/atol/strtoul, which
 // silently accept garbage: "abc" parses as 0, "-3" flows into unsigned
 // widths, "99999999999999999999" saturates without a word, and "12abc"
@@ -43,8 +43,8 @@ namespace rtcc::util {
 
 /// Emits the one-line "ignoring bad knob" warning for `name` (at most
 /// once per process per knob) — for knobs with bespoke grammars
-/// (RTCC_SHARDS' "auto", RTCC_SIMD's level names) that do their own
-/// parsing but want the same reporting.
+/// (RTCC_SIMD's level names) that do their own parsing but want the
+/// same reporting.
 void warn_bad_knob(const char* name, std::string_view value,
                    const char* expected);
 

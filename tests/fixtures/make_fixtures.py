@@ -159,7 +159,7 @@ write("kitchen_sink.pcap", sink)
 # --- Scenario fixtures: hand-built mid-call mobility and TURN-over-TCP
 # captures consumed by tests/test_scenario_fixtures.cpp and the
 # analyze_fixture_handoff / analyze_fixture_turn_tcp ctest entries
-# (batch + RTCC_STREAM=1 + RTCC_SHARDS=4 parity pins).
+# (batch + RTCC_STREAM=1 parity pins).
 
 def stun(msg_type, txid, attrs=b""):
     return struct.pack(">HHI", msg_type, len(attrs), 0x2112A442) + txid + attrs

@@ -39,7 +39,6 @@ using rtcc::util::BytesView;
 
 /// Execution-mode-invariant report slice.
 std::string stripped_json(report::CallAnalysis a) {
-  a.shards.clear();
   a.flows = {};
   return report::to_json(a);
 }
@@ -58,10 +57,9 @@ std::string batch_json(BytesView pcap, const rtcc::filter::FilterConfig& fcfg) {
 report::CallAnalysis stream_at(BytesView pcap,
                                const rtcc::filter::FilterConfig& fcfg,
                                std::size_t chunk,
-                               const stream::StreamOptions& sopts = {},
-                               const report::AnalysisOptions& opts = {}) {
+                               const stream::StreamOptions& sopts = {}) {
   stream::MemoryChunkSource source(pcap);
-  stream::StreamingAnalyzer engine(net::kLinkEthernet, fcfg, opts, sopts);
+  stream::StreamingAnalyzer engine(net::kLinkEthernet, fcfg, {}, sopts);
   std::string error;
   EXPECT_TRUE(stream::stream_pcap(source, engine, chunk, &error)) << error;
   return engine.finish();
@@ -281,13 +279,7 @@ TEST(ChunkReader, StreamsInSmallFractionOfCaptureSize) {
   stream::StreamOptions sopts;
   sopts.idle_timeout_s = 1.0;   // a flow outlives its slice by one tick
   sopts.chunk_bytes = 1 << 12;
-  // The bound is a claim about the single-threaded engine: shard
-  // workers pin evicted payloads in flight until they drain, so an
-  // ambient RTCC_SHARDS would re-inflate the peak it measures.
-  report::AnalysisOptions unsharded;
-  unsharded.shards = 1;
-  const auto got =
-      stream_at(BytesView{pcap}, fcfg, sopts.chunk_bytes, sopts, unsharded);
+  const auto got = stream_at(BytesView{pcap}, fcfg, sopts.chunk_bytes, sopts);
 
   EXPECT_GT(got.flows.evictions, 0u) << "idle expiry never fired — test inert";
   EXPECT_EQ(got.flows.flows_rekeyed, 0u)

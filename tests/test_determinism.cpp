@@ -177,12 +177,10 @@ TEST(VectorPipeline, BatchAndSimdMatchFusedScalarAcrossCorpus) {
 
 /// Report JSON minus the path-dependent diagnostics: the per-node
 /// counters depend on the extraction path (the naive oracle and the
-/// scalar kernel stage nothing in the prefilter node), and the "shards"
-/// and "flows" blocks on the streaming engine's knobs, while every
-/// verdict must not.
+/// scalar kernel stage nothing in the prefilter node), and the "flows"
+/// block on the streaming engine's knobs, while every verdict must not.
 std::string verdict_json(report::CallAnalysis a) {
   a.nodes = {};
-  a.shards = {};
   a.flows = {};
   return report::to_json(a);
 }

@@ -2,15 +2,17 @@
 // seam. Epochs control emission cadence, never flow retirement, so the
 // merged analysis must be invariant under epoch length — the acceptance
 // sweep {100ms, 1s, 10s, inf} must reconcile with the batch report
-// exactly, at unbounded and tight budgets, unsharded and sharded, and
-// at unbounded budgets every flow's final verdict must equal the batch
-// filter's disposition for its stream.
+// exactly, at unbounded and tight budgets, with finish() on the serial
+// loop and on the thread pool, and at unbounded budgets every flow's
+// final verdict must equal the batch filter's disposition for its
+// stream.
 // Under test as well: the conservation identities a verdict-stream
 // consumer relies on (every ordinal exactly once with amends = false,
 // epoch frame/byte sums equal the pushed totals), the one-way
 // monotonicity of amendments (kept can tighten to removed, removed
-// never reopens), and the sharded partial-readiness handshake (a kept
-// verdict only carries a partial the shard worker has published).
+// never reopens), that an attached partial is really analyzed, and
+// that the verdict stream, epoch by epoch, does not depend on how
+// finish() dispatched its flows.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,6 +20,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "emul/app_model.hpp"
@@ -37,7 +40,6 @@ namespace stream = rtcc::stream;
 using rtcc::filter::Disposition;
 
 std::string stripped_json(report::CallAnalysis a) {
-  a.shards.clear();
   a.flows = {};
   return report::to_json(a);
 }
@@ -59,12 +61,16 @@ struct VerdictLog {
   bool final_pass;
   bool has_partial;
   std::uint64_t partial_packets;  // decode-node packets, when attached
+
+  bool operator==(const VerdictLog&) const = default;
 };
 struct EpochLog {
   std::uint64_t frames = 0;
   std::uint64_t bytes = 0;
   bool final_pass = false;
   std::vector<VerdictLog> verdicts;
+
+  bool operator==(const EpochLog&) const = default;
 };
 
 report::CallAnalysis run_with_epochs(const net::Trace& trace,
@@ -163,9 +169,14 @@ TEST(Epoch, SweepReconcilesWithBatchAtEveryLengthBudgetAndShardCount) {
   const stream::StreamOptions unbounded{};
   const stream::StreamOptions tight{.max_flows = 8, .idle_timeout_s = 0.5};
 
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+  // The serial run's per-epoch logs, keyed by (budget, epoch length):
+  // the pooled run must emit the very same verdict stream.
+  std::map<std::pair<const stream::StreamOptions*, double>,
+           std::vector<EpochLog>>
+      serial_logs;
+  for (const bool parallel : {false, true}) {
     report::AnalysisOptions opts;
-    opts.shards = shards;
+    opts.parallel_streams = parallel;
     const auto ref = stripped_json(report::analyze_trace(call.trace, fcfg, opts));
     for (const auto* sopts : {&unbounded, &tight}) {
       // Tight budgets split flows; merged output then satisfies
@@ -183,7 +194,15 @@ TEST(Epoch, SweepReconcilesWithBatchAtEveryLengthBudgetAndShardCount) {
         EXPECT_EQ(json, epoch_invariant_ref)
             << "merged report varies with epoch_s=" << epoch_s;
         if (sopts == &unbounded) {
-          EXPECT_EQ(json, ref) << "epoch_s=" << epoch_s << " shards=" << shards;
+          EXPECT_EQ(json, ref)
+              << "epoch_s=" << epoch_s << " parallel=" << parallel;
+        }
+        if (!parallel) {
+          serial_logs[{sopts, epoch_s}] = log;
+        } else {
+          EXPECT_TRUE(log == serial_logs.at({sopts, epoch_s}))
+              << "verdict stream depends on dispatch at epoch_s=" << epoch_s
+              << (sopts == &tight ? " (tight budgets)" : " (unbounded)");
         }
 
         const auto state =

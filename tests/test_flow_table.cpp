@@ -3,9 +3,9 @@
 // re-touch reordering, idle expiry by trace clock), the rekey/split
 // ledger identity (records created = distinct keys + rekeys), drain
 // semantics (every live flow retired, none counted as an eviction),
-// and — at the engine level — eviction landing while a sharded chunk
-// is still in flight, where the conservation identities must hold
-// against the batch reference.
+// and — at the engine level — mid-capture eviction with finish()
+// fanning the surviving flows out over the thread pool, where the
+// conservation identities must hold against the batch reference.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -212,11 +212,10 @@ TEST(FlowTable, DrainRetiresAllOldestFirstWithoutCountingEvictions) {
   EXPECT_EQ(table.stats().flows_live, 4u);
 }
 
-// ---- Engine level: eviction racing an in-flight sharded chunk -----------
+// ---- Engine level: eviction with pooled finalization ---------------------
 
 /// Conference call with enough concurrent RTC flows that max_flows=1
-/// forces evictions while the sharded pipeline still holds submitted
-/// chunks of the evicted flows' payloads.
+/// forces evictions of flows with buffered payloads.
 emul::GroupCall many_stream_call() {
   emul::GroupCallConfig cfg;
   cfg.participants = 6;
@@ -231,12 +230,11 @@ TEST(StreamingEviction, ShardedInFlightChunksSurviveEviction) {
 
   const stream::StreamModeGuard batch_ref(false);
   report::AnalysisOptions opts;
-  opts.shards = 4;
+  opts.parallel_streams = true;
   const auto ref = report::analyze_trace(call.trace, fcfg, opts);
 
   // Interleaved senders + capacity 1 = every flow is evicted and
-  // re-keyed many times, each eviction handing a payload chunk to a
-  // shard worker that may still be running when the next split lands.
+  // re-keyed many times, each eviction analyzing a payload inline.
   const stream::StreamOptions tight{.max_flows = 1};
   const auto got =
       stream::analyze_trace_streaming(call.trace, fcfg, opts, tight);
@@ -270,9 +268,8 @@ TEST(StreamingEviction, UnboundedShardedStreamingMatchesBatch) {
 
   const stream::StreamModeGuard batch_ref(false);
   report::AnalysisOptions opts;
-  opts.shards = 4;
+  opts.parallel_streams = true;
   const auto strip = [](report::CallAnalysis a) {
-    a.shards.clear();
     a.flows = {};
     return report::to_json(a);
   };

@@ -2,9 +2,9 @@
 // hand-built Wi-Fi→cellular handoff capture and a TURN-over-TCP
 // fallback capture, with every IngestStats field hand-computed in the
 // generator. Each fixture is analyzed three ways — batch, streaming
-// (StreamModeGuard) and streaming over 4 shard workers (plus
-// ShardModeGuard) — and the compliance signatures must agree, the
-// in-process half of the analyze_fixture_handoff /
+// (StreamModeGuard) with the default dispatch, and streaming on the
+// serial loop (parallel_streams off) — and the compliance signatures
+// must agree, the in-process half of the analyze_fixture_handoff /
 // analyze_fixture_turn_tcp ctest pins.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "net/address.hpp"
 #include "net/pcap.hpp"
 #include "report/metrics.hpp"
-#include "report/shard.hpp"
 #include "stream/stream_mode.hpp"
 #include "testkit/meta.hpp"
 
@@ -24,7 +23,6 @@ namespace {
 using rtcc::net::IngestStats;
 using rtcc::net::IpAddr;
 using rtcc::net::Trace;
-using rtcc::report::ShardModeGuard;
 using rtcc::stream::StreamModeGuard;
 using rtcc::testkit::meta::analyze_case;
 
@@ -54,9 +52,10 @@ void expect_parity(const Trace& trace, const rtcc::filter::FilterConfig& cfg,
   }
   {
     StreamModeGuard stream_on(true);
-    ShardModeGuard four_shards(4);
-    EXPECT_EQ(analyze_case(trace, cfg).signature, base_signature)
-        << "shard parity";
+    AnalysisOptions serial;
+    serial.parallel_streams = false;
+    EXPECT_EQ(analyze_case(trace, cfg, serial).signature, base_signature)
+        << "serial streaming parity";
   }
 }
 

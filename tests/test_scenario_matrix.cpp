@@ -1,9 +1,9 @@
 // Scenario catalogue (emul/scenario.hpp): every registered scenario —
 // SFU conferences, mid-call mobility, network-weather composites — is
 // held to the same oracle bar as the 6×3 app matrix: deterministic
-// generation, batch/streaming/sharded verdict parity, metamorphic
-// transform invariance, and reachability through the corpus runner's
-// per-scenario compliance rows.
+// generation, batch/streaming (serial and pooled) verdict parity,
+// metamorphic transform invariance, and reachability through the
+// corpus runner's per-scenario compliance rows.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -12,14 +12,12 @@
 #include "emul/scenario.hpp"
 #include "net/pcap.hpp"
 #include "report/corpus.hpp"
-#include "report/shard.hpp"
 #include "stream/stream_mode.hpp"
 #include "testkit/meta.hpp"
 
 namespace rtcc::emul {
 namespace {
 
-using rtcc::report::ShardModeGuard;
 using rtcc::stream::StreamModeGuard;
 using rtcc::testkit::meta::analyze_case;
 
@@ -65,9 +63,10 @@ TEST(ScenarioCatalogue, EveryScenarioIsDeterministic) {
 }
 
 // The knob-parity oracle, per scenario: the one-pass streaming engine,
-// inline and over its shard workers, must reproduce the batch
-// compliance signature on every catalogue entry — new scenario
-// families don't get to regress the equivalence guarantees.
+// finishing its flows on the thread pool and on the serial loop, must
+// reproduce the batch compliance signature on every catalogue entry —
+// new scenario families don't get to regress the equivalence
+// guarantees.
 TEST(ScenarioCatalogue, StreamAndShardParityOnEveryScenario) {
   const auto opts = quick_options();
   for (const auto& spec : scenario_catalogue()) {
@@ -82,9 +81,11 @@ TEST(ScenarioCatalogue, StreamAndShardParityOnEveryScenario) {
     }
     {
       StreamModeGuard stream_on(true);
-      ShardModeGuard four_shards(4);
-      EXPECT_EQ(analyze_case(scen.trace, scen.cfg).signature, base.signature)
-          << "shard parity";
+      rtcc::report::AnalysisOptions serial;
+      serial.parallel_streams = false;
+      EXPECT_EQ(analyze_case(scen.trace, scen.cfg, serial).signature,
+                base.signature)
+          << "serial streaming parity";
     }
   }
 }

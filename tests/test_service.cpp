@@ -2,7 +2,7 @@
 // over a temp watch folder and a unix ingest socket, with the batch
 // pipeline over the same bytes as the equivalence oracle. Under test:
 //   * watch-dir ingest: the drop file is processed, renamed .done, and
-//     the merged final report is byte-identical (modulo shard/flow
+//     the merged final report is byte-identical (modulo the flow
 //     diagnostics) to read_pcap + analyze_trace on the same file;
 //   * the JSONL verdict stream reconciles with the batch report —
 //     exactly-once ordinals, frame conservation, kept-UDP and message
@@ -48,7 +48,6 @@ namespace service = rtcc::service;
 namespace fs = std::filesystem;
 
 std::string stripped_json(report::CallAnalysis a) {
-  a.shards.clear();
   a.flows = {};
   return report::to_json(a);
 }
@@ -233,7 +232,7 @@ TEST(Service, WatchDirReconcilesWithBatchServesMetricsAndDrainsOnSigterm) {
   runner.join();
   EXPECT_EQ(exit_code.load(), 0);
 
-  // The drained engine's merged report is the batch report (shard/flow
+  // The drained engine's merged report is the batch report (flow
   // diagnostics aside).
   ASSERT_TRUE(daemon.final_report().has_value());
   EXPECT_EQ(stripped_json(*daemon.final_report()), stripped_json(batch));
