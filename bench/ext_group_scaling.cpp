@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "emul/group_call.hpp"
+#include "emul/sfu.hpp"
 #include "report/metrics.hpp"
 
 int main() {
@@ -22,13 +22,13 @@ int main() {
   std::printf("%s\n", std::string(76, '-').c_str());
 
   for (int n : {3, 4, 5, 6, 8}) {
-    rtcc::emul::GroupCallConfig cfg;
+    rtcc::emul::SfuConfig cfg;
     cfg.participants = n;
     cfg.media_scale = scale;
     cfg.seed = 99;
-    const auto call = rtcc::emul::emulate_group_call(cfg);
+    const auto call = rtcc::emul::emulate_sfu_call(cfg);
     const auto a = rtcc::report::analyze_trace(
-        call.trace, rtcc::emul::group_filter_config(call));
+        call.trace, rtcc::emul::sfu_filter_config(call));
     std::uint64_t rtcp = 0;
     auto it = a.protocols.find(rtcc::proto::Protocol::kRtcp);
     if (it != a.protocols.end()) rtcp = it->second.messages;

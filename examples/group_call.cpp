@@ -6,23 +6,23 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "emul/group_call.hpp"
+#include "emul/sfu.hpp"
 #include "report/metrics.hpp"
 
 int main(int argc, char** argv) {
-  rtcc::emul::GroupCallConfig cfg;
+  rtcc::emul::SfuConfig cfg;
   if (argc > 1) cfg.participants = std::atoi(argv[1]);
   if (argc > 2) cfg.media_scale = std::strtod(argv[2], nullptr);
   if (argc > 3) cfg.seed = std::strtoull(argv[3], nullptr, 10);
 
-  const auto call = rtcc::emul::emulate_group_call(cfg);
+  const auto call = rtcc::emul::emulate_sfu_call(cfg);
   std::printf("group call: %d participants (+1 churns: leaves and "
               "rejoins), %zu frames, %.1f MB\n",
               cfg.participants, call.trace.size(),
               static_cast<double>(call.trace.total_bytes()) / 1e6);
 
   const auto analysis = rtcc::report::analyze_trace(
-      call.trace, rtcc::emul::group_filter_config(call));
+      call.trace, rtcc::emul::sfu_filter_config(call));
   std::printf("RTC streams: %zu (scales with participants)\n",
               analysis.rtc_udp.streams);
   for (const auto& [proto_id, stats] : analysis.protocols) {

@@ -49,6 +49,39 @@ std::uint16_t internet_checksum(BytesView data, std::uint32_t initial) {
   return fold(sum16(data, initial));
 }
 
+std::optional<SplittableIpv4> splittable_ipv4_udp(BytesView frame) {
+  using rtcc::util::load_be16;
+  if (frame.size() < kEthHeader + 20 ||
+      load_be16(frame.data() + 12) != kEtherIpv4)
+    return std::nullopt;
+  const std::uint8_t* ip = frame.data() + kEthHeader;
+  const std::size_t ihl = static_cast<std::size_t>(ip[0] & 0x0F) * 4;
+  const std::size_t total_len = load_be16(ip + 2);
+  if ((ip[0] >> 4) != 4 || ihl < 20 || ip[9] != 17) return std::nullopt;
+  if ((load_be16(ip + 6) & 0x3FFF) != 0) return std::nullopt;  // a fragment
+  if (kEthHeader + total_len != frame.size() || total_len <= ihl)
+    return std::nullopt;
+  return SplittableIpv4{ihl, total_len - ihl};
+}
+
+void ipv4_fragment(BytesView frame, const SplittableIpv4& dgram,
+                   std::size_t off, std::size_t len, std::uint16_t ident,
+                   Bytes& out) {
+  using rtcc::util::store_be16;
+  const std::size_t l4 = kEthHeader + dgram.ihl;
+  out.assign(frame.begin(), frame.begin() + l4);
+  out.insert(out.end(), frame.begin() + l4 + off,
+             frame.begin() + l4 + off + len);
+  std::uint8_t* ip = out.data() + kEthHeader;
+  const bool more = off + len < dgram.l4_len;
+  store_be16(ip + 2, static_cast<std::uint16_t>(dgram.ihl + len));
+  store_be16(ip + 4, ident);
+  store_be16(ip + 6,
+             static_cast<std::uint16_t>((more ? 0x2000 : 0) | (off / 8)));
+  store_be16(ip + 10, 0);
+  store_be16(ip + 10, internet_checksum(BytesView{ip, dgram.ihl}));
+}
+
 namespace {
 
 constexpr std::uint16_t kTpidQ = 0x8100;           // 802.1Q

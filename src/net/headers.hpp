@@ -170,4 +170,25 @@ struct FrameSpec {
 [[nodiscard]] std::uint16_t internet_checksum(rtcc::util::BytesView data,
                                               std::uint32_t initial = 0);
 
+/// An unfragmented Ethernet IPv4 UDP frame whose stored bytes span
+/// exactly the IP datagram: the only shape ipv4_fragment can split
+/// without inventing bytes.
+struct SplittableIpv4 {
+  std::size_t ihl = 0;     // IPv4 header bytes
+  std::size_t l4_len = 0;  // UDP header + payload bytes (> 0)
+};
+
+[[nodiscard]] std::optional<SplittableIpv4> splittable_ipv4_udp(
+    rtcc::util::BytesView frame);
+
+/// Writes to `out` the fragment of `frame` carrying L4 bytes
+/// [off, off + len), `off` a multiple of 8: the Ethernet and IPv4
+/// headers with total length, `ident`, fragment offset and MF (set
+/// unless the piece ends the datagram) rewritten, DF cleared and the
+/// header checksum recomputed — the exact inverse of FrameDecoder
+/// reassembly.
+void ipv4_fragment(rtcc::util::BytesView frame, const SplittableIpv4& dgram,
+                   std::size_t off, std::size_t len, std::uint16_t ident,
+                   rtcc::util::Bytes& out);
+
 }  // namespace rtcc::net

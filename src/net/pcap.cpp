@@ -25,95 +25,34 @@ constexpr std::uint32_t kMagicNativeNs = 0xA1B23C4D;  // nanoseconds
 constexpr std::uint32_t kMagicSwappedNs = 0x4D3CB2A1;
 constexpr std::uint32_t kSnapLen = 262144;
 
-std::uint32_t load32(const std::uint8_t* p, bool swap) {
-  std::uint32_t v;
-  std::memcpy(&v, p, 4);
-  if (swap) v = __builtin_bswap32(v);
-  return v;
-}
-
-void push32(Bytes& out, std::uint32_t v) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + 4);
-}
-
-void push16(Bytes& out, std::uint16_t v) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + 2);
+template <typename T>
+void push(Bytes& out, T v) {
+  const std::size_t n = out.size();
+  out.resize(n + sizeof v);
+  std::memcpy(out.data() + n, &v, sizeof v);
 }
 
 void set_error(std::string* error, const char* msg) {
   if (error) *error = msg;
 }
 
-/// Shared record walk of both decode paths: validates the global header,
-/// then hands (ts, payload offset, incl_len, orig_len) for every intact
-/// record to the sink — which either copies the bytes or registers a
-/// view. Fail-soft: a torn tail record ends the walk and increments
-/// stats.torn_tail instead of failing the whole file; a sub-second
-/// field >= its unit is clamped to the last representable tick and
-/// counted; incl_len < orig_len counts as snaplen-clipped. Hard errors
-/// remain only for files that cannot be a capture at all.
-template <typename FrameSink>
-bool parse_pcap(BytesView data, std::string* error, IngestStats& stats,
-                std::uint32_t& linktype, FrameSink&& on_frame) {
-  if (data.size() < 24) {
-    set_error(error, "pcap: file shorter than global header");
-    return false;
-  }
-  std::uint32_t magic;
-  std::memcpy(&magic, data.data(), 4);
-  bool swap = false;
-  bool nanos = false;
-  if (magic == kMagicNative) {
-  } else if (magic == kMagicSwapped) {
-    swap = true;
-  } else if (magic == kMagicNativeNs) {
-    nanos = true;
-  } else if (magic == kMagicSwappedNs) {
-    swap = true;
-    nanos = true;
-  } else {
-    set_error(error, "pcap: bad magic number");
-    return false;
-  }
-  // Any linktype is accepted here; frames under one the decoder does
-  // not understand are counted per-frame (unsupported_linktype) at
-  // decode time, so the capture-layer accounting still runs.
-  linktype = load32(data.data() + 20, swap);
+/// walk_pcap's window over a whole capture already in memory:
+/// fill() never reads, it only reports whether the bytes are there.
+class BufferWindow {
+ public:
+  explicit BufferWindow(BytesView data) : data_(data) {}
 
-  const std::uint32_t unit = nanos ? 1000000000u : 1000000u;
-  const double scale = nanos ? 1e-9 : 1e-6;
-  std::size_t pos = 24;
-  while (pos < data.size()) {
-    if (pos + 16 > data.size()) {
-      ++stats.torn_tail;  // record header cut mid-bytes
-      break;
-    }
-    const std::uint32_t sec = load32(data.data() + pos, swap);
-    std::uint32_t sub = load32(data.data() + pos + 4, swap);
-    const std::uint32_t incl = load32(data.data() + pos + 8, swap);
-    const std::uint32_t orig = load32(data.data() + pos + 12, swap);
-    pos += 16;
-    if (incl > data.size() || pos + incl > data.size()) {
-      ++stats.torn_tail;  // record payload cut mid-bytes
-      break;
-    }
-    ++stats.frames_seen;
-    if (sub >= unit) {
-      // A fractional-second value >= one second would reorder frames;
-      // clamp to the last representable tick (deterministic) and count.
-      sub = unit - 1;
-      ++stats.bad_usec;
-    }
-    if (orig > incl) ++stats.snaplen_clipped;
-    const double ts =
-        static_cast<double>(sec) + static_cast<double>(sub) * scale;
-    on_frame(ts, pos, incl, orig);
-    pos += incl;
+  [[nodiscard]] bool fill(std::size_t need) const { return avail() >= need; }
+  [[nodiscard]] const std::uint8_t* head() const {
+    return data_.data() + pos_;
   }
-  return true;
-}
+  [[nodiscard]] std::size_t avail() const { return data_.size() - pos_; }
+  void consume(std::size_t n) { pos_ += n; }
+
+ private:
+  BytesView data_;
+  std::size_t pos_ = 0;
+};
 
 }  // namespace
 
@@ -144,22 +83,19 @@ Bytes encode_pcap(const Trace& trace) {
 
 Bytes encode_pcap_ex(const Trace& trace, const PcapEncodeOptions& opts) {
   const auto emit32 = [&](Bytes& out, std::uint32_t v) {
-    push32(out, opts.swapped ? __builtin_bswap32(v) : v);
+    push(out, opts.swapped ? __builtin_bswap32(v) : v);
   };
   const auto emit16 = [&](Bytes& out, std::uint16_t v) {
-    push16(out, opts.swapped ? static_cast<std::uint16_t>(
-                                   (v >> 8) | (v << 8))
-                             : v);
+    push(out, opts.swapped ? static_cast<std::uint16_t>((v >> 8) | (v << 8))
+                           : v);
   };
   const double sub_unit = opts.nanosecond ? 1e9 : 1e6;
   const auto sub_mod = opts.nanosecond ? 1000000000LL : 1000000LL;
 
   Bytes out;
-  out.reserve(24 + trace.size() * 16 + trace.total_bytes());
-  push32(out, opts.swapped
-                  ? __builtin_bswap32(opts.nanosecond ? kMagicNativeNs
-                                                      : kMagicNative)
-                  : (opts.nanosecond ? kMagicNativeNs : kMagicNative));
+  out.reserve(kPcapGlobalHeader + trace.size() * kPcapRecordHeader +
+              trace.total_bytes());
+  emit32(out, opts.nanosecond ? kMagicNativeNs : kMagicNative);
   emit16(out, 2);  // version major
   emit16(out, 4);  // version minor
   emit32(out, 0);  // thiszone
@@ -184,17 +120,41 @@ Bytes encode_pcap_ex(const Trace& trace, const PcapEncodeOptions& opts) {
   return out;
 }
 
+std::optional<PcapFormat> parse_pcap_header(const std::uint8_t* header,
+                                            std::string* error) {
+  std::uint32_t magic;
+  std::memcpy(&magic, header, 4);
+  PcapFormat fmt;
+  if (magic == kMagicNative) {
+  } else if (magic == kMagicSwapped) {
+    fmt.swap = true;
+  } else if (magic == kMagicNativeNs) {
+    fmt.nanos = true;
+  } else if (magic == kMagicSwappedNs) {
+    fmt.swap = true;
+    fmt.nanos = true;
+  } else {
+    set_error(error, "pcap: bad magic number");
+    return std::nullopt;
+  }
+  // Any linktype is accepted here; frames under one the decoder does
+  // not understand are counted per-frame (unsupported_linktype) at
+  // decode time, so the capture-layer accounting still runs.
+  fmt.linktype = detail::pcap_load32(header + 20, fmt.swap);
+  return fmt;
+}
+
 std::optional<Trace> decode_pcap(BytesView data, std::string* error) {
   Trace trace;
-  std::uint32_t linktype = kLinkEthernet;
-  if (!parse_pcap(data, error, trace.ingest(), linktype,
-                  [&](double ts, std::size_t pos, std::uint32_t incl,
-                      std::uint32_t orig) {
-                    trace.add_frame(ts, data.subspan(pos, incl)).orig_len =
-                        orig;
-                  }))
+  BufferWindow window(data);
+  if (!walk_pcap(
+          window, trace.ingest(), error,
+          [&](const PcapFormat& fmt) { trace.set_linktype(fmt.linktype); },
+          [&](double ts, const std::uint8_t* payload, std::uint32_t incl,
+              std::uint32_t orig) {
+            trace.add_frame(ts, BytesView{payload, incl}).orig_len = orig;
+          }))
     return std::nullopt;
-  trace.set_linktype(linktype);
   return trace;
 }
 
@@ -203,14 +163,16 @@ std::optional<Trace> decode_pcap_zero_copy(BytesView data,
                                            std::string* error) {
   Trace trace;
   const std::uint64_t base = trace.adopt_buffer(data, std::move(keepalive));
-  std::uint32_t linktype = kLinkEthernet;
-  if (!parse_pcap(data, error, trace.ingest(), linktype,
-                  [&](double ts, std::size_t pos, std::uint32_t incl,
-                      std::uint32_t orig) {
-                    trace.add_frame(Frame{ts, base + pos, incl, orig});
-                  }))
+  BufferWindow window(data);
+  if (!walk_pcap(
+          window, trace.ingest(), error,
+          [&](const PcapFormat& fmt) { trace.set_linktype(fmt.linktype); },
+          [&](double ts, const std::uint8_t* payload, std::uint32_t incl,
+              std::uint32_t orig) {
+            const auto off = static_cast<std::uint64_t>(payload - data.data());
+            trace.add_frame(Frame{ts, base + off, incl, orig});
+          }))
     return std::nullopt;
-  trace.set_linktype(linktype);
   return trace;
 }
 

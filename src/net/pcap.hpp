@@ -1,4 +1,5 @@
-// Classic libpcap (.pcap) file reader/writer.
+// Classic libpcap (.pcap) file reader/writer, and the only code that
+// knows the capture format.
 //
 // Reading accepts what real captures contain: microsecond magic
 // (0xA1B2C3D4) and Wireshark's nanosecond magic (0xA1B23C4D), both byte
@@ -13,6 +14,11 @@
 // native little-endian microsecond order like tcpdump does, preserving
 // the trace's linktype and each frame's orig_len.
 //
+// One record walk (walk_pcap) serves two byte windows: a whole-buffer
+// window for read_pcap and the decode_pcap* functions, and the
+// chunked reader's recycled buffer (stream/chunk_reader.cpp), so both
+// ingest paths apply the same rules to the same bytes.
+//
 // Reading is zero-copy: read_pcap mmaps the file (read() into a single
 // whole-file buffer as fallback, e.g. for pipes), adopts the buffer
 // into the trace's FrameArena, and registers each frame as an
@@ -20,6 +26,7 @@
 // copy.
 #pragma once
 
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -101,9 +108,90 @@ class Trace {
   IngestStats ingest_;
 };
 
-struct PcapError {
-  std::string message;
+/// What a capture's 24-byte global header says about its records.
+struct PcapFormat {
+  bool swap = false;   // header fields are in the foreign byte order
+  bool nanos = false;  // sub-second fields count nanoseconds
+  std::uint32_t linktype = kLinkEthernet;
 };
+
+inline constexpr std::size_t kPcapGlobalHeader = 24;
+inline constexpr std::size_t kPcapRecordHeader = 16;
+/// Largest incl_len the walk will wait for. Snaplen tops out at
+/// 256 KiB, so a larger claim is a corrupt header: it counts as a torn
+/// tail instead of making a chunked window buffer gigabytes.
+inline constexpr std::uint32_t kPcapMaxRecord = std::uint32_t{1} << 30;
+
+/// Validates a global header (the four magics: us/ns, both byte
+/// orders). nullopt, with `*error` set, for an unknown magic.
+[[nodiscard]] std::optional<PcapFormat> parse_pcap_header(
+    const std::uint8_t* header, std::string* error);
+
+namespace detail {
+inline std::uint32_t pcap_load32(const std::uint8_t* p, bool swap) {
+  std::uint32_t v;
+  std::memcpy(&v, p, 4);
+  return swap ? __builtin_bswap32(v) : v;
+}
+}  // namespace detail
+
+/// The pcap record walk. `Window` is a byte window over the capture:
+///   bool fill(std::size_t need)  at least `need` unconsumed bytes are
+///                                available; false when input ends first
+///   const std::uint8_t* head()   first unconsumed byte
+///   std::size_t avail()          unconsumed bytes available
+///   void consume(std::size_t n)
+/// head() may move across fill(). on_header(const PcapFormat&) runs
+/// once, before any frame; on_frame(ts, payload, incl_len, orig_len)
+/// runs for every intact record, with `payload` valid until the next
+/// fill(). Fail-soft accounting lands in `stats`: a torn tail record
+/// ends the walk (torn_tail), a sub-second field >= its unit is clamped
+/// to the last representable tick (bad_usec), incl < orig counts as
+/// snaplen_clipped. Returns false, with `*error` set, only for the two
+/// hard errors: input shorter than the global header, unknown magic.
+template <typename Window, typename OnHeader, typename OnFrame>
+bool walk_pcap(Window& w, IngestStats& stats, std::string* error,
+               OnHeader&& on_header, OnFrame&& on_frame) {
+  if (!w.fill(kPcapGlobalHeader)) {
+    if (error != nullptr) *error = "pcap: file shorter than global header";
+    return false;
+  }
+  const std::optional<PcapFormat> fmt = parse_pcap_header(w.head(), error);
+  if (!fmt) return false;
+  on_header(*fmt);
+  w.consume(kPcapGlobalHeader);
+
+  const bool swap = fmt->swap;
+  const std::uint32_t unit = fmt->nanos ? 1000000000u : 1000000u;
+  const double scale = fmt->nanos ? 1e-9 : 1e-6;
+  for (;;) {
+    if (!w.fill(kPcapRecordHeader)) {
+      if (w.avail() > 0) ++stats.torn_tail;  // record header cut mid-bytes
+      return true;
+    }
+    const std::uint8_t* h = w.head();
+    const std::uint32_t sec = detail::pcap_load32(h, swap);
+    std::uint32_t sub = detail::pcap_load32(h + 4, swap);
+    const std::uint32_t incl = detail::pcap_load32(h + 8, swap);
+    const std::uint32_t orig = detail::pcap_load32(h + 12, swap);
+    if (incl > kPcapMaxRecord || !w.fill(kPcapRecordHeader + incl)) {
+      ++stats.torn_tail;  // record payload cut mid-bytes
+      return true;
+    }
+    ++stats.frames_seen;
+    if (sub >= unit) {
+      // A fractional-second value >= one second would reorder frames;
+      // clamp to the last representable tick (deterministic) and count.
+      sub = unit - 1;
+      ++stats.bad_usec;
+    }
+    if (orig > incl) ++stats.snaplen_clipped;
+    const double ts =
+        static_cast<double>(sec) + static_cast<double>(sub) * scale;
+    on_frame(ts, w.head() + kPcapRecordHeader, incl, orig);
+    w.consume(kPcapRecordHeader + incl);
+  }
+}
 
 /// Reads an entire .pcap file. Returns an error message only for files
 /// that cannot be a capture (short global header, unknown magic); every

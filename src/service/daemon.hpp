@@ -41,7 +41,7 @@ namespace rtcc::service {
 /// encloses every stream) and the stage-2 evidence sets stay empty
 /// unless the caller configures blocklists/devices/ports. With it the
 /// daemon reports on *all* traffic; pass an experiment config (e.g.
-/// emul::group_filter_config) to reproduce batch-filter semantics.
+/// emul::sfu_filter_config) to reproduce batch-filter semantics.
 [[nodiscard]] rtcc::filter::FilterConfig keep_all_filter_config();
 
 struct DaemonOptions {

@@ -4,29 +4,17 @@
 #include <cstring>
 #include <vector>
 
+#include "net/pcap.hpp"
+
 namespace rtcc::stream {
 
 namespace {
-
-// pcap magics, duplicated from net/pcap.cpp's anonymous namespace (the
-// values are the file format, not an implementation detail).
-constexpr std::uint32_t kMagicNative = 0xA1B2C3D4;    // microseconds
-constexpr std::uint32_t kMagicSwapped = 0xD4C3B2A1;
-constexpr std::uint32_t kMagicNativeNs = 0xA1B23C4D;  // nanoseconds
-constexpr std::uint32_t kMagicSwappedNs = 0x4D3CB2A1;
-
-std::uint32_t load32(const std::uint8_t* p, bool swap) {
-  std::uint32_t v;
-  std::memcpy(&v, p, 4);
-  if (swap) v = __builtin_bswap32(v);
-  return v;
-}
 
 void set_error(std::string* error, const char* msg) {
   if (error != nullptr) *error = msg;
 }
 
-/// Recycled parse window over a ChunkSource: one buffer, compacted
+/// walk_pcap's window over a ChunkSource: one buffer, compacted
 /// (tail slid to the front) before each refill so it never grows past
 /// max(chunk_bytes, largest record header + payload).
 class RecordBuffer {
@@ -77,68 +65,18 @@ class RecordBuffer {
 bool stream_pcap(ChunkSource& source, StreamingAnalyzer& engine,
                  std::size_t chunk_bytes, std::string* error) {
   RecordBuffer buf(source, chunk_bytes);
-  rtcc::net::IngestStats& stats = engine.capture_stats();
-
-  if (!buf.fill(24)) {
-    set_error(error, "pcap: file shorter than global header");
-    return false;
-  }
-  std::uint32_t magic;
-  std::memcpy(&magic, buf.head(), 4);
-  bool swap = false;
-  bool nanos = false;
-  if (magic == kMagicNative) {
-  } else if (magic == kMagicSwapped) {
-    swap = true;
-  } else if (magic == kMagicNativeNs) {
-    nanos = true;
-  } else if (magic == kMagicSwappedNs) {
-    swap = true;
-    nanos = true;
-  } else {
-    set_error(error, "pcap: bad magic number");
-    return false;
-  }
-  engine.set_linktype(load32(buf.head() + 20, swap));
-  buf.consume(24);
-
-  const std::uint32_t unit = nanos ? 1000000000u : 1000000u;
-  const double scale = nanos ? 1e-9 : 1e-6;
-  for (;;) {
-    if (!buf.fill(16)) {
-      if (buf.avail() > 0) ++stats.torn_tail;  // record header cut mid-bytes
-      break;
-    }
-    const std::uint32_t sec = load32(buf.head(), swap);
-    std::uint32_t sub = load32(buf.head() + 4, swap);
-    const std::uint32_t incl = load32(buf.head() + 8, swap);
-    const std::uint32_t orig = load32(buf.head() + 12, swap);
-    // A length claim beyond any real capture record (snaplen tops out
-    // at 256 KiB) cannot complete; concluding torn-tail now avoids
-    // letting one corrupt header demand a multi-GiB buffer. The
-    // whole-file walk reaches the same verdict from `incl > size`.
-    if (incl > (std::uint32_t{1} << 30)) {
-      ++stats.torn_tail;
-      break;
-    }
-    if (!buf.fill(std::size_t{16} + incl)) {
-      ++stats.torn_tail;  // record payload cut mid-bytes
-      break;
-    }
-    ++stats.frames_seen;
-    if (sub >= unit) {
-      sub = unit - 1;  // clamp to the last representable tick
-      ++stats.bad_usec;
-    }
-    if (orig > incl) ++stats.snaplen_clipped;
-    const double ts =
-        static_cast<double>(sec) + static_cast<double>(sub) * scale;
-    engine.note_external_live(buf.footprint());
-    engine.push_frame({buf.head() + 16, incl}, ts, orig);
-    buf.consume(std::size_t{16} + incl);
-  }
+  const bool ok = rtcc::net::walk_pcap(
+      buf, engine.capture_stats(), error,
+      [&](const rtcc::net::PcapFormat& fmt) {
+        engine.set_linktype(fmt.linktype);
+      },
+      [&](double ts, const std::uint8_t* payload, std::uint32_t incl,
+          std::uint32_t orig) {
+        engine.note_external_live(buf.footprint());
+        engine.push_frame({payload, incl}, ts, orig);
+      });
   engine.note_external_live(0);  // the recycled buffer dies with the walk
-  return true;
+  return ok;
 }
 
 std::optional<rtcc::report::CallAnalysis> analyze_pcap_streaming(

@@ -10,13 +10,12 @@
 // capture size; the buffer's footprint is reported to the engine so
 // FlowStats::live_peak_bytes covers the whole streaming path.
 //
-// Record-walk semantics are bit-compatible with net/pcap.cpp's
-// parse_pcap: same magics (us/ns, both endians), same fail-soft
-// accounting (torn_tail ends the walk, bad sub-seconds clamp,
-// incl < orig marks snaplen-clipped), same hard errors (short global
-// header, unknown magic). A record whose length claims more bytes than
-// the source delivers counts one torn_tail and stops — exactly what
-// the whole-file walk concludes from the same bytes.
+// The record walk itself is net::walk_pcap, the one the whole-file
+// reader runs, given this reader's buffer as its byte window: the same
+// magics, fail-soft accounting and hard errors apply to both paths by
+// construction. A record whose length claims more bytes than the
+// source delivers counts one torn_tail and stops, as it does in the
+// whole-file walk.
 //
 // ChunkSource is the live-reader seam: the file and in-memory sources
 // here cover offline captures and tests; a socket/ring-buffer source

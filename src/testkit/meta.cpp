@@ -25,7 +25,6 @@ using rtcc::report::CallAnalysis;
 using rtcc::util::Bytes;
 using rtcc::util::BytesView;
 using rtcc::util::load_be16;
-using rtcc::util::store_be16;
 
 namespace {
 
@@ -243,8 +242,8 @@ TransformResult shift_time(const Trace& t, const FilterConfig& cfg) {
 // ---- IPv4 fragmentation --------------------------------------------------
 
 /// Splits every large unfragmented IPv4 UDP datagram into two
-/// fragments (offsets 8-byte aligned, DF cleared, fresh ident, header
-/// checksum recomputed) — the exact inverse of FrameDecoder reassembly.
+/// fragments (net::ipv4_fragment) — the exact inverse of FrameDecoder
+/// reassembly.
 TransformResult fragment_udp(const Trace& t, const FilterConfig& cfg) {
   if (t.linktype() != rtcc::net::kLinkEthernet) return inapplicable(cfg);
   TransformResult r;
@@ -255,53 +254,26 @@ TransformResult fragment_udp(const Trace& t, const FilterConfig& cfg) {
   Bytes buf;
   for (const auto& frame : t.frames()) {
     const BytesView f = t.bytes(frame);
-    bool split = false;
-    if (f.size() >= 14 + 20 && load_be16(f.data() + 12) == 0x0800) {
-      const std::uint8_t* ip = f.data() + 14;
-      const std::size_t ihl = static_cast<std::size_t>(ip[0] & 0x0F) * 4;
-      const std::uint16_t total_len = load_be16(ip + 2);
-      const std::uint16_t flags_frag = load_be16(ip + 6);
-      const bool is_fragment = (flags_frag & 0x3FFF) != 0;
-      const std::size_t l4_len =
-          total_len >= ihl ? total_len - ihl : 0;
-      if ((ip[0] >> 4) == 4 && ihl >= 20 && !is_fragment && ip[9] == 17 &&
-          14 + static_cast<std::size_t>(total_len) == f.size() &&
-          l4_len >= 24) {
-        // First piece: ~half the L4 bytes, rounded up to a fragment
-        // boundary; always leaves a non-empty second piece.
-        std::size_t first = 8 * ((l4_len / 2 + 7) / 8);
-        if (first >= l4_len) first = l4_len - 8;
-        ident = static_cast<std::uint16_t>(ident + 1);
-        if (ident == 0) ident = 1;
-        const std::size_t pieces[2][2] = {{0, first},
-                                          {first, l4_len - first}};
-        for (const auto& piece : pieces) {
-          const std::size_t off = piece[0];
-          const std::size_t len = piece[1];
-          const bool more = off + len < l4_len;
-          buf.assign(f.begin(), f.begin() + 14 + ihl);
-          buf.insert(buf.end(), f.begin() + 14 + ihl + off,
-                     f.begin() + 14 + ihl + off + len);
-          std::uint8_t* nip = buf.data() + 14;
-          store_be16(nip + 2, static_cast<std::uint16_t>(ihl + len));
-          store_be16(nip + 4, ident);
-          store_be16(nip + 6,
-                     static_cast<std::uint16_t>((more ? 0x2000 : 0) |
-                                                (off / 8)));
-          store_be16(nip + 10, 0);
-          store_be16(nip + 10, rtcc::net::internet_checksum(
-                                   BytesView{nip, ihl}));
-          out.add_frame(frame.ts, buf);
-          ++r.frag_frames;
-        }
-        ++r.frag_datagrams;
-        split = true;
-      }
-    }
-    if (!split) {
+    const auto dgram = rtcc::net::splittable_ipv4_udp(f);
+    if (!dgram || dgram->l4_len < 24) {
       auto& nf = out.add_frame(frame.ts, f);
       nf.orig_len = frame.orig_len;
+      continue;
     }
+    // First piece: ~half the L4 bytes, rounded up to a fragment
+    // boundary; always leaves a non-empty second piece.
+    const std::size_t l4_len = dgram->l4_len;
+    std::size_t first = 8 * ((l4_len / 2 + 7) / 8);
+    if (first >= l4_len) first = l4_len - 8;
+    ident = static_cast<std::uint16_t>(ident + 1);
+    if (ident == 0) ident = 1;
+    const std::size_t pieces[2][2] = {{0, first}, {first, l4_len - first}};
+    for (const auto& piece : pieces) {
+      rtcc::net::ipv4_fragment(f, *dgram, piece[0], piece[1], ident, buf);
+      out.add_frame(frame.ts, buf);
+      ++r.frag_frames;
+    }
+    ++r.frag_datagrams;
   }
   r.trace = std::move(out);
   return r;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "net/pcap.hpp"
 #include "proto/stun/stun.hpp"
 #include "util/bytes.hpp"
 
@@ -466,13 +467,13 @@ std::vector<Bytes> mutate_stream_chunk_boundary(
   // Encoded size of one oracle frame before its UDP payload: 16-byte
   // pcap record header + 14 Ethernet + 20 IPv4 + 8 UDP. Must match
   // net::build_frame over oracle-style IPv4 specs.
-  constexpr std::size_t kRecordOverhead = 16 + 14 + 20 + 8;
-  constexpr std::size_t kGlobalHeader = 24;
+  constexpr std::size_t kRecordOverhead =
+      rtcc::net::kPcapRecordHeader + 14 + 20 + 8;
   std::vector<Bytes> out;
   if (seed.empty() || chunk_bytes < 2) return out;
   static constexpr std::size_t kDeltas[] = {0, 1, 2};  // end at b-1, b, b+1
   const std::size_t start = rng.below(seed.size());
-  std::size_t cum = kGlobalHeader;
+  std::size_t cum = rtcc::net::kPcapGlobalHeader;
   for (std::size_t i = 0; i < 9; ++i) {
     const Bytes& src = seed[(start + i) % seed.size()];
     // Aim the record end at the next read boundary that leaves room for

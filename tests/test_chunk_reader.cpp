@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "emul/app_model.hpp"
-#include "emul/group_call.hpp"
+#include "emul/sfu.hpp"
 #include "filter/pipeline.hpp"
 #include "net/address.hpp"
 #include "net/headers.hpp"
@@ -65,17 +65,17 @@ report::CallAnalysis stream_at(BytesView pcap,
   return engine.finish();
 }
 
-emul::GroupCall small_call() {
-  emul::GroupCallConfig cfg;
+emul::SfuCall small_call() {
+  emul::SfuConfig cfg;
   cfg.participants = 3;
   cfg.call_s = 20.0;
   cfg.media_scale = 0.01;
-  return emul::emulate_group_call(cfg);
+  return emul::emulate_sfu_call(cfg);
 }
 
 TEST(ChunkReader, ByteIdenticalToBatchAcrossChunkSizes) {
   const auto call = small_call();
-  const auto fcfg = emul::group_filter_config(call);
+  const auto fcfg = emul::sfu_filter_config(call);
   const Bytes pcap = net::encode_pcap(call.trace);
   const auto ref = batch_json(BytesView{pcap}, fcfg);
 
@@ -92,7 +92,7 @@ TEST(ChunkReader, RecordHeadersStraddlingRefillBoundaries) {
   // 16-byte record header in one read: every header parse crosses at
   // least one compact-and-refill.
   const auto call = small_call();
-  const auto fcfg = emul::group_filter_config(call);
+  const auto fcfg = emul::sfu_filter_config(call);
   const Bytes pcap = net::encode_pcap(call.trace);
   const auto ref = batch_json(BytesView{pcap}, fcfg);
 
@@ -106,7 +106,7 @@ TEST(ChunkReader, RecordHeadersStraddlingRefillBoundaries) {
 
 TEST(ChunkReader, TruncatedTailMatchesBatchAndCountsTornTail) {
   const auto call = small_call();
-  const auto fcfg = emul::group_filter_config(call);
+  const auto fcfg = emul::sfu_filter_config(call);
   const Bytes pcap = net::encode_pcap(call.trace);
   ASSERT_GT(pcap.size(), 200u);
 
@@ -146,7 +146,7 @@ TEST(ChunkReader, TruncatedTailMatchesBatchAndCountsTornTail) {
 // granularity.
 TEST(ChunkReader, ChunkZeroClampsToOneByteGranuleAndTerminates) {
   const auto call = small_call();
-  const auto fcfg = emul::group_filter_config(call);
+  const auto fcfg = emul::sfu_filter_config(call);
   const Bytes pcap = net::encode_pcap(call.trace);
   const auto ref = batch_json(BytesView{pcap}, fcfg);
   EXPECT_EQ(stripped_json(stream_at(BytesView{pcap}, fcfg, /*chunk=*/0)), ref);
@@ -170,30 +170,71 @@ TEST(ChunkReader, ZeroByteSourceFailsSoftAtAnyChunk) {
   }
 }
 
+/// Writes `bytes` into the test temp dir; returns the file's path.
+std::string write_temp(const std::string& name, const Bytes& bytes) {
+  const auto path = std::filesystem::path(::testing::TempDir()) / name;
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  return path.string();
+}
+
+// Both ingest paths run net::walk_pcap, over different byte windows.
 // The checked-in real-world fixtures (linktype dispatch, VLAN, SLL,
-// nanosecond magic, fragmentation) streamed at the two degenerate
-// granularities must match the whole-file batch walk exactly.
+// nanosecond magic, fragmentation, handoff, TURN over TCP), the
+// foreign-endian encoder dialects and a bad-magic file, streamed at the
+// two degenerate granularities, must match the whole-file walk exactly:
+// the same report, or the same hard error.
 TEST(ChunkReader, FixturesAtChunkZeroAndOneMatchBatch) {
   const rtcc::filter::FilterConfig fcfg;
+  struct Input {
+    std::string path;
+    bool valid;
+  };
+  std::vector<Input> inputs;
   for (const char* name :
-       {"kitchen_sink.pcap", "ns_magic.pcap", "sll.pcap", "vlan.pcap"}) {
-    const std::string path =
-        std::string(RTCC_TEST_SOURCE_DIR) + "/fixtures/" + name;
+       {"kitchen_sink.pcap", "ns_magic.pcap", "sll.pcap", "vlan.pcap",
+        "handoff.pcap", "turn_tcp.pcap"})
+    inputs.push_back(
+        {std::string(RTCC_TEST_SOURCE_DIR) + "/fixtures/" + name, true});
+  const std::size_t first_temp = inputs.size();
+  const auto call = small_call();
+  inputs.push_back({write_temp("rtcc_chunk_swapped.pcap",
+                               net::encode_pcap_ex(call.trace,
+                                                   {.swapped = true})),
+                    true});
+  inputs.push_back(
+      {write_temp("rtcc_chunk_swapped_ns.pcap",
+                  net::encode_pcap_ex(call.trace,
+                                      {.nanosecond = true, .swapped = true})),
+       true});
+  inputs.push_back(
+      {write_temp("rtcc_chunk_bad_magic.pcap", Bytes(64, 0xEE)), false});
+
+  for (const auto& [path, valid] : inputs) {
     const stream::StreamModeGuard off(false);
-    std::string error;
-    const auto trace = net::read_pcap(path, &error);
-    ASSERT_TRUE(trace.has_value()) << name << ": " << error;
-    const auto ref = stripped_json(report::analyze_trace(*trace, fcfg));
+    std::string ref_error;
+    const auto trace = net::read_pcap(path, &ref_error);
+    ASSERT_EQ(trace.has_value(), valid) << path << ": " << ref_error;
+    const auto ref =
+        trace ? stripped_json(report::analyze_trace(*trace, fcfg)) : "";
     for (const std::size_t chunk : {std::size_t{0}, std::size_t{1}}) {
       stream::StreamOptions sopts;
       sopts.chunk_bytes = chunk;
+      std::string error;
       const auto got =
           stream::analyze_pcap_streaming(path, fcfg, {}, sopts, &error);
-      ASSERT_TRUE(got.has_value()) << name << " chunk=" << chunk << ": "
-                                   << error;
-      EXPECT_EQ(stripped_json(*got), ref) << name << " chunk=" << chunk;
+      ASSERT_EQ(got.has_value(), valid)
+          << path << " chunk=" << chunk << ": " << error;
+      if (got) {
+        EXPECT_EQ(stripped_json(*got), ref) << path << " chunk=" << chunk;
+      } else {
+        EXPECT_EQ(error, ref_error) << path << " chunk=" << chunk;
+      }
     }
   }
+  for (std::size_t i = first_temp; i < inputs.size(); ++i)
+    std::filesystem::remove(inputs[i].path);
 }
 
 TEST(ChunkReader, RejectsFilesShorterThanGlobalHeader) {
@@ -215,7 +256,7 @@ TEST(ChunkReader, RejectsFilesShorterThanGlobalHeader) {
 
 TEST(ChunkReader, FileSourceMatchesMemorySource) {
   const auto call = small_call();
-  const auto fcfg = emul::group_filter_config(call);
+  const auto fcfg = emul::sfu_filter_config(call);
   const Bytes pcap = net::encode_pcap(call.trace);
   const auto ref = batch_json(BytesView{pcap}, fcfg);
 

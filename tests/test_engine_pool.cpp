@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "emul/group_call.hpp"
+#include "emul/sfu.hpp"
 #include "report/json_export.hpp"
 #include "report/metrics.hpp"
 #include "stream/engine.hpp"
@@ -50,17 +50,17 @@ report::AnalysisOptions with_parallel(bool parallel) {
 /// A 6-participant SFU conference: enough distinct RTC UDP flows
 /// (uplinks + per-participant fanout) that finish() has many flows to
 /// fan out. Two-party calls top out at ~4 streams.
-emul::GroupCall many_stream_call() {
-  emul::GroupCallConfig cfg;
+emul::SfuCall many_stream_call() {
+  emul::SfuConfig cfg;
   cfg.participants = 6;
   cfg.call_s = 30.0;
   cfg.media_scale = 0.02;
-  return emul::emulate_group_call(cfg);
+  return emul::emulate_sfu_call(cfg);
 }
 
 TEST(ShardedAnalyzeTrace, ParityAcrossShardCounts) {
   const auto call = many_stream_call();
-  const auto fcfg = emul::group_filter_config(call);
+  const auto fcfg = emul::sfu_filter_config(call);
 
   // The batch path is the reference.
   std::vector<report::CallAnalysis> ref_parts;
@@ -86,7 +86,7 @@ TEST(ShardedAnalyzeTrace, ParityAcrossShardCounts) {
 
 TEST(ShardedAnalyzeTrace, DoubleRunDeterminism) {
   const auto call = many_stream_call();
-  const auto fcfg = emul::group_filter_config(call);
+  const auto fcfg = emul::sfu_filter_config(call);
   const auto opts = with_parallel(true);
   const auto a = streamed(call.trace, fcfg, opts);
   const auto b = streamed(call.trace, fcfg, opts);
@@ -95,7 +95,7 @@ TEST(ShardedAnalyzeTrace, DoubleRunDeterminism) {
 
 TEST(ShardedAnalyzeTrace, RespectsGlobalKnobAndParallelOff) {
   const auto call = many_stream_call();
-  const auto fcfg = emul::group_filter_config(call);
+  const auto fcfg = emul::sfu_filter_config(call);
   // Default options (RTCC_PARALLEL), the pool and the serial loop give
   // the same full report: even the "flows" ledger (finalized flows,
   // live peak) cannot see how finish() dispatched its flows.

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "emul/app_model.hpp"
-#include "emul/group_call.hpp"
+#include "emul/sfu.hpp"
 #include "filter/pipeline.hpp"
 #include "report/json_export.hpp"
 #include "report/metrics.hpp"
@@ -44,12 +44,12 @@ std::string stripped_json(report::CallAnalysis a) {
   return report::to_json(a);
 }
 
-emul::GroupCall fixture_call() {
-  emul::GroupCallConfig cfg;
+emul::SfuCall fixture_call() {
+  emul::SfuConfig cfg;
   cfg.participants = 6;
   cfg.call_s = 30.0;
   cfg.media_scale = 0.02;
-  return emul::emulate_group_call(cfg);
+  return emul::emulate_sfu_call(cfg);
 }
 
 /// Sink-side log; FlowVerdict::partial is only valid during the sink
@@ -154,7 +154,7 @@ std::map<std::uint64_t, Disposition> reconcile(
 
 TEST(Epoch, SweepReconcilesWithBatchAtEveryLengthBudgetAndShardCount) {
   const auto call = fixture_call();
-  const auto fcfg = emul::group_filter_config(call);
+  const auto fcfg = emul::sfu_filter_config(call);
   const stream::StreamModeGuard batch_ref(false);
   const auto batch_disp =
       rtcc::filter::run_pipeline(call.trace, net::group_streams(call.trace),
@@ -241,7 +241,7 @@ TEST(Epoch, SweepReconcilesWithBatchAtEveryLengthBudgetAndShardCount) {
 
 TEST(Epoch, ManualFinishEpochEmitsBetweenAutomaticBoundaries) {
   const auto call = fixture_call();
-  const auto fcfg = emul::group_filter_config(call);
+  const auto fcfg = emul::sfu_filter_config(call);
   const stream::StreamOptions tight{.max_flows = 8, .idle_timeout_s = 0.5};
 
   stream::StreamingAnalyzer engine(call.trace.linktype(), fcfg, {}, tight);
@@ -279,7 +279,7 @@ TEST(Epoch, ManualFinishEpochEmitsBetweenAutomaticBoundaries) {
 
 TEST(Epoch, NoSinkIsInertAndFinishEpochIsSafe) {
   const auto call = fixture_call();
-  const auto fcfg = emul::group_filter_config(call);
+  const auto fcfg = emul::sfu_filter_config(call);
   const stream::StreamModeGuard batch_ref(false);
   const auto ref = stripped_json(report::analyze_trace(call.trace, fcfg));
 

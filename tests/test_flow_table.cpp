@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "emul/app_model.hpp"
-#include "emul/group_call.hpp"
+#include "emul/sfu.hpp"
 #include "net/address.hpp"
 #include "net/stream_table.hpp"
 #include "report/json_export.hpp"
@@ -216,17 +216,17 @@ TEST(FlowTable, DrainRetiresAllOldestFirstWithoutCountingEvictions) {
 
 /// Conference call with enough concurrent RTC flows that max_flows=1
 /// forces evictions of flows with buffered payloads.
-emul::GroupCall many_stream_call() {
-  emul::GroupCallConfig cfg;
+emul::SfuCall many_stream_call() {
+  emul::SfuConfig cfg;
   cfg.participants = 6;
   cfg.call_s = 30.0;
   cfg.media_scale = 0.02;
-  return emul::emulate_group_call(cfg);
+  return emul::emulate_sfu_call(cfg);
 }
 
 TEST(StreamingEviction, ShardedInFlightChunksSurviveEviction) {
   const auto call = many_stream_call();
-  const auto fcfg = emul::group_filter_config(call);
+  const auto fcfg = emul::sfu_filter_config(call);
 
   const stream::StreamModeGuard batch_ref(false);
   report::AnalysisOptions opts;
@@ -264,7 +264,7 @@ TEST(StreamingEviction, ShardedInFlightChunksSurviveEviction) {
 
 TEST(StreamingEviction, UnboundedShardedStreamingMatchesBatch) {
   const auto call = many_stream_call();
-  const auto fcfg = emul::group_filter_config(call);
+  const auto fcfg = emul::sfu_filter_config(call);
 
   const stream::StreamModeGuard batch_ref(false);
   report::AnalysisOptions opts;

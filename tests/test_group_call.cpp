@@ -1,4 +1,5 @@
-// Group-call emulation (the paper's future work) through the pipeline.
+// Group-call emulation (the paper's future work, emul/sfu) through the
+// pipeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -6,7 +7,7 @@
 #include <set>
 #include <vector>
 
-#include "emul/group_call.hpp"
+#include "emul/sfu.hpp"
 #include "net/headers.hpp"
 #include "proto/rtcp/rtcp.hpp"
 #include "report/metrics.hpp"
@@ -15,18 +16,18 @@
 namespace rtcc::emul {
 namespace {
 
-report::CallAnalysis analyze(const GroupCall& call) {
-  return report::analyze_trace(call.trace, group_filter_config(call));
+report::CallAnalysis analyze(const SfuCall& call) {
+  return report::analyze_trace(call.trace, sfu_filter_config(call));
 }
 
-GroupCall make(int participants, bool churn = true,
-               double scale = 0.02) {
-  GroupCallConfig cfg;
+SfuCall make(int participants, bool churn = true,
+             double scale = 0.02) {
+  SfuConfig cfg;
   cfg.participants = participants;
   cfg.churn = churn;
   cfg.media_scale = scale;
   cfg.seed = 11;
-  return emulate_group_call(cfg);
+  return emulate_sfu_call(cfg);
 }
 
 TEST(GroupCall, AllTrafficCompliant) {
@@ -51,7 +52,7 @@ TEST(GroupCall, SsrcCountMatchesParticipants) {
   const auto call = make(n, /*churn=*/false);
   const auto table = net::group_streams(call.trace);
   const auto fr =
-      filter::run_pipeline(call.trace, table, group_filter_config(call));
+      filter::run_pipeline(call.trace, table, sfu_filter_config(call));
   std::set<std::uint32_t> ssrcs;
   dpi::ScanningDpi engine;
   for (auto si : fr.rtc_udp_streams) {
@@ -82,7 +83,7 @@ struct SfuFrame {
   rtcc::util::BytesView payload;
 };
 
-int device_index(const GroupCall& call, const net::IpAddr& ip) {
+int device_index(const SfuCall& call, const net::IpAddr& ip) {
   for (std::size_t i = 0; i < call.devices.size(); ++i)
     if (call.devices[i] == ip) return static_cast<int>(i);
   return -1;
@@ -91,7 +92,7 @@ int device_index(const GroupCall& call, const net::IpAddr& ip) {
 /// Decodes every frame that has the SFU on one side (background
 /// traffic never does) and hands it to `fn(frame)`.
 template <typename Fn>
-void for_each_sfu_frame(const GroupCall& call, Fn&& fn) {
+void for_each_sfu_frame(const SfuCall& call, Fn&& fn) {
   for (const auto& frame : call.trace.frames()) {
     const auto d = net::decode_frame(call.trace.bytes(frame),
                                      net::kLinkEthernet);
@@ -121,9 +122,9 @@ bool is_rtcp(rtcc::util::BytesView p) {
   return p.size() >= 8 && (p[0] >> 6) == 2 && p[1] >= 200 && p[1] <= 207;
 }
 
-GroupCall make_sfu(int participants, bool churn, int layer_switches,
-                   double scale = 0.05, double call_s = 30.0) {
-  GroupCallConfig cfg;
+SfuCall make_sfu(int participants, bool churn, int layer_switches,
+                 double scale = 0.05, double call_s = 30.0) {
+  SfuConfig cfg;
   cfg.participants = participants;
   cfg.simulcast_layers = 2;
   cfg.pre_call_s = 5.0;
@@ -134,7 +135,7 @@ GroupCall make_sfu(int participants, bool churn, int layer_switches,
   cfg.churn = churn;
   cfg.layer_switches = layer_switches;
   cfg.seed = 23;
-  return emulate_group_call(cfg);
+  return emulate_sfu_call(cfg);
 }
 
 // The forwarder rewrites nothing but addressing: every downlink SSRC
@@ -245,7 +246,7 @@ TEST(GroupCall, ChurnProducesByeAndGroupReportBlocks) {
   const auto call = make(n, /*churn=*/true, 0.03);
   const auto table = net::group_streams(call.trace);
   const auto fr =
-      filter::run_pipeline(call.trace, table, group_filter_config(call));
+      filter::run_pipeline(call.trace, table, sfu_filter_config(call));
   bool saw_bye = false;
   std::size_t max_report_blocks = 0;
   dpi::ScanningDpi engine;
@@ -278,7 +279,7 @@ TEST(GroupCall, FilterHandlesManyDevices) {
   const auto call = make(5);
   const auto table = net::group_streams(call.trace);
   const auto fr =
-      filter::run_pipeline(call.trace, table, group_filter_config(call));
+      filter::run_pipeline(call.trace, table, sfu_filter_config(call));
   std::uint64_t rtc_kept = 0, rtc_total = 0, bg_kept = 0;
   for (std::size_t i = 0; i < table.streams.size(); ++i) {
     for (const auto& pkt : table.streams[i].packets) {
@@ -298,10 +299,10 @@ TEST(GroupCall, FilterHandlesManyDevices) {
 }
 
 TEST(GroupCall, MinimumThreeParticipants) {
-  GroupCallConfig cfg;
+  SfuConfig cfg;
   cfg.participants = 1;  // clamped up to 3
   cfg.media_scale = 0.01;
-  const auto call = emulate_group_call(cfg);
+  const auto call = emulate_sfu_call(cfg);
   EXPECT_EQ(call.devices.size(), 3u);
 }
 

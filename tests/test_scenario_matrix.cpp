@@ -54,8 +54,9 @@ TEST(ScenarioCatalogue, EveryScenarioIsDeterministic) {
     EXPECT_EQ(a.name, spec.name);
     ASSERT_GT(a.trace.size(), 0u);
     EXPECT_EQ(rtcc::net::encode_pcap(a.trace), rtcc::net::encode_pcap(b.trace));
-    if (!a.truth.empty())
+    if (!a.truth.empty()) {
       EXPECT_EQ(a.truth.size(), a.trace.size());
+    }
     const auto sig_a = analyze_case(a.trace, a.cfg).signature;
     const auto sig_b = analyze_case(b.trace, b.cfg).signature;
     EXPECT_EQ(sig_a, sig_b);

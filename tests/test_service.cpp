@@ -33,7 +33,7 @@
 #include <thread>
 #include <vector>
 
-#include "emul/group_call.hpp"
+#include "emul/sfu.hpp"
 #include "net/pcap.hpp"
 #include "report/json_export.hpp"
 #include "report/metrics.hpp"
@@ -52,12 +52,12 @@ std::string stripped_json(report::CallAnalysis a) {
   return report::to_json(a);
 }
 
-emul::GroupCall fixture_call() {
-  emul::GroupCallConfig cfg;
+emul::SfuCall fixture_call() {
+  emul::SfuConfig cfg;
   cfg.participants = 6;
   cfg.call_s = 30.0;
   cfg.media_scale = 0.02;
-  return emul::emulate_group_call(cfg);
+  return emul::emulate_sfu_call(cfg);
 }
 
 std::string make_temp_dir() {
@@ -182,14 +182,14 @@ TEST(Service, WatchDirReconcilesWithBatchServesMetricsAndDrainsOnSigterm) {
   const auto trace = net::read_pcap(pcap, &err);
   ASSERT_TRUE(trace.has_value()) << err;
   const auto batch =
-      report::analyze_trace(*trace, emul::group_filter_config(call));
+      report::analyze_trace(*trace, emul::sfu_filter_config(call));
 
   service::DaemonOptions opts;
   opts.watch_dir = dir;
   opts.jsonl_path = dir + "/verdicts.jsonl";
   opts.epoch_s = 0.5;  // capture-clock seconds: many epochs over 150 s
   opts.poll_ms = 5;
-  opts.fcfg = emul::group_filter_config(call);
+  opts.fcfg = emul::sfu_filter_config(call);
   service::Daemon daemon(opts);
   service::Daemon::install_signal_handlers(&daemon);
   ASSERT_TRUE(daemon.start(&err)) << err;
@@ -287,7 +287,7 @@ TEST(Service, SocketIngestFeedsTheSameEngineAndDrainsClean) {
   const auto trace = net::decode_pcap(rtcc::util::BytesView(bytes));
   ASSERT_TRUE(trace.has_value());
   const auto batch =
-      report::analyze_trace(*trace, emul::group_filter_config(call));
+      report::analyze_trace(*trace, emul::sfu_filter_config(call));
 
   const std::string dir = make_temp_dir();
   ASSERT_FALSE(dir.empty());
@@ -297,7 +297,7 @@ TEST(Service, SocketIngestFeedsTheSameEngineAndDrainsClean) {
   opts.enable_metrics = false;
   opts.epoch_s = 0.0;  // per-capture epochs only
   opts.poll_ms = 5;
-  opts.fcfg = emul::group_filter_config(call);
+  opts.fcfg = emul::sfu_filter_config(call);
   service::Daemon daemon(opts);
   std::string err;
   ASSERT_TRUE(daemon.start(&err)) << err;
