@@ -30,15 +30,15 @@
 // the equivalence sweep in tests/test_determinism.cpp).
 //
 // The per-offset tests are additionally evaluated 64 offsets at a time
-// by a runtime-dispatched SIMD kernel (dpi/simd_dispatch.hpp — scalar /
-// SSE2 / AVX2 / NEON, selected by cpuid and the RTCC_SIMD knob); only
+// by the SSE2 kernel (dpi/simd_dispatch.hpp; the RTCC_SIMD knob forces
+// the scalar level), staged per payload by stage_anchor_masks; only
 // flagged lanes fall back to the scalar test. The vector tests are the
-// same necessary conditions, never a replacement, so every level is
-// interchangeable and yields byte-identical anchors.
+// same necessary conditions, never a replacement, so both levels are
+// interchangeable and yield byte-identical anchors.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "dpi/scanning_dpi.hpp"
@@ -64,20 +64,20 @@ struct AnchorHit {
   std::uint8_t mask = 0;
 };
 
-/// Scan-region geometry shared by the fused walk (for_each_anchor) and
-/// the staged prefilter/scan node pair: both must agree byte-for-byte
-/// on which offsets the kernel covers and which fall to scalar code.
+/// Scan-region geometry shared by the prefilter (stage_anchor_masks) and
+/// the walk (for_each_anchor): both must agree byte-for-byte on which
+/// offsets the kernel covers and which fall to scalar code.
 struct AnchorPlan {
   std::size_t limit = 0;     ///< scan end (exclusive): min(k + 1, n)
   std::size_t fast_end = 0;  ///< bound-check-free end: >= 20 bytes remain
   std::size_t blocks = 0;    ///< 64-offset kernel blocks, starting at offset 1
 };
 
-/// Kernel eligibility bound: the kernels evaluate the RTP header fit
+/// Kernel eligibility bound: the kernel evaluates the RTP header fit
 /// and ChannelData length fit with 16-bit saturating adds, which is
 /// exact whenever offset + 76 (the largest RTP header need) cannot
 /// exceed 65535. Payloads beyond this — larger than any UDP datagram —
-/// take the scalar loop so every level stays byte-identical.
+/// take the scalar loop so both levels stay byte-identical.
 constexpr std::size_t kMaxKernelPayload = 0xFFFF - 56;
 
 [[nodiscard]] inline AnchorPlan anchor_plan(std::size_t n,
@@ -130,7 +130,7 @@ constexpr std::size_t kMaxKernelPayload = 0xFFFF - 56;
 /// invoking fn(offset, anchor-mask) for each hot lane. The family masks
 /// are disjoint (first-byte class, plus the PT-byte RTP/RTCP split done
 /// in the kernel), so each hot lane belongs to exactly one family and
-/// the walker classifies without re-reading payload bytes. The kernels
+/// the walker classifies without re-reading payload bytes. The kernel
 /// already applied the per-protocol scan gates and the cheap length
 /// preconditions; only stun lanes (approximate in the kernel) re-run
 /// the exact cookie/tail-fit test here.
@@ -168,14 +168,17 @@ inline void walk_anchor_masks(const std::uint8_t* p, std::size_t n,
 /// Visitor form of the scan: invokes fn(offset, mask) for each anchored
 /// offset of `payload`, in increasing offset order, scanning offsets
 /// [0, min(max_offset + 1, payload.size())). Honours the per-protocol
-/// scan_* switches in `opts`. The hot path in ScanningDpi uses this
-/// directly — on media payloads a sizeable fraction of offsets anchor
-/// as RTP, so materialising a hit list would cost more than the sniffs
-/// it saves.
+/// scan_* switches in `opts`. `staged` holds the mask sets
+/// stage_anchor_masks wrote for this payload under the same `opts`
+/// (anchor_plan(payload.size(), opts).blocks entries, not dereferenced
+/// when that plan has no kernel blocks); nullptr means no kernel ran
+/// (the scalar level) and the per-offset loop covers every offset. The
+/// hot path in ScanningDpi uses this directly — on media payloads a
+/// sizeable fraction of offsets anchor as RTP, so materialising a hit
+/// list would cost more than the sniffs it saves.
 template <typename Fn>
-void for_each_anchor_impl(rtcc::util::BytesView payload,
-                          const ScanOptions& opts,
-                          const AnchorMasks* staged, Fn&& fn) {
+void for_each_anchor(rtcc::util::BytesView payload, const ScanOptions& opts,
+                     const AnchorMasks* staged, Fn&& fn) {
   namespace stun = rtcc::proto::stun;
   namespace quic = rtcc::proto::quic;
 
@@ -231,34 +234,13 @@ void for_each_anchor_impl(rtcc::util::BytesView payload,
   };
 
   std::size_t i = 0;
-  // Vector pre-pass: the dispatched kernel evaluates the anchor
-  // conditions for 64 offsets at a time, split per protocol family, and
-  // only flagged lanes reach scalar code (walk_anchor_masks). When the
-  // caller staged the kernel's masks earlier (the batched prefilter
-  // node), they are replayed here instead of re-running the kernel.
-  // At the scalar level (no kernel, nothing staged) the plain
-  // per-offset loop below covers everything.
-  if (pl.blocks != 0) {
-    const AnchorBlockFn kernel = staged != nullptr ? nullptr : anchor_block_fn();
-    if (staged != nullptr || kernel != nullptr) {
-      scan_at(i);  // offset 0 separately: the QUIC short anchor lives there
-      ++i;
-      if (staged != nullptr) {
-        for (std::size_t b = 0; b < pl.blocks; ++b, i += 64)
-          walk_anchor_masks(p, n, i, staged[b], fn);
-      } else {
-        const unsigned gates = anchor_gates(opts);
-        AnchorMasks masks[kMaxAnchorBlocks];
-        std::size_t b = 0;
-        while (b < pl.blocks) {
-          const std::size_t nb = std::min(pl.blocks - b, kMaxAnchorBlocks);
-          kernel(p, i, nb, n, gates, masks);
-          for (std::size_t j = 0; j < nb; ++j, i += 64)
-            walk_anchor_masks(p, n, i, masks[j], fn);
-          b += nb;
-        }
-      }
-    }
+  // Kernel region: replay the staged per-family masks so only flagged
+  // lanes reach scalar code (walk_anchor_masks).
+  if (staged != nullptr && pl.blocks != 0) {
+    scan_at(i);  // offset 0 separately: the QUIC short anchor lives there
+    ++i;
+    for (std::size_t b = 0; b < pl.blocks; ++b, i += 64)
+      walk_anchor_masks(p, n, i, staged[b], fn);
   }
   for (; i < fast_end; ++i) scan_at(i);
 
@@ -306,30 +288,12 @@ void for_each_anchor_impl(rtcc::util::BytesView payload,
   }
 }
 
-template <typename Fn>
-void for_each_anchor(rtcc::util::BytesView payload, const ScanOptions& opts,
-                     Fn&& fn) {
-  for_each_anchor_impl(payload, opts, nullptr, std::forward<Fn>(fn));
-}
-
-/// Scan-node replay: identical to for_each_anchor, but consumes the
-/// mask sets previously staged by stage_anchor_masks for this payload
-/// (same ScanOptions) instead of re-running the kernel. `staged` must
-/// point at anchor_plan(payload.size(), opts).blocks entries; it is
-/// not dereferenced when that plan has no kernel blocks.
-template <typename Fn>
-void for_each_anchor_staged(rtcc::util::BytesView payload,
-                            const ScanOptions& opts,
-                            const AnchorMasks* staged, Fn&& fn) {
-  for_each_anchor_impl(payload, opts, staged, std::forward<Fn>(fn));
-}
-
 /// Prefilter-node kernel pass: runs only the vector kernel over
 /// `payload`, appending anchor_plan(...).blocks mask sets to `out`
 /// (not cleared — callers accumulate a whole batch into one buffer).
 /// Returns the number of mask sets appended. `kernel` must be
-/// non-null; at the scalar level callers skip staging and use
-/// for_each_anchor directly.
+/// non-null; at the scalar level callers stage nothing and pass
+/// nullptr to for_each_anchor.
 inline std::size_t stage_anchor_masks(rtcc::util::BytesView payload,
                                       const ScanOptions& opts,
                                       AnchorBlockFn kernel,
@@ -337,24 +301,18 @@ inline std::size_t stage_anchor_masks(rtcc::util::BytesView payload,
   const std::size_t n = payload.size();
   const AnchorPlan pl = anchor_plan(n, opts);
   if (pl.blocks == 0) return 0;
-  const unsigned gates = anchor_gates(opts);
   const std::size_t start = out.size();
   out.resize(start + pl.blocks);
-  const std::uint8_t* p = payload.data();
-  std::size_t i = 1, b = 0;
-  while (b < pl.blocks) {
-    const std::size_t nb = std::min(pl.blocks - b, kMaxAnchorBlocks);
-    kernel(p, i, nb, n, gates, out.data() + start + b);
-    b += nb;
-    i += nb * 64;
-  }
+  kernel(payload.data(), 1, pl.blocks, n, anchor_gates(opts),
+         out.data() + start);
   return pl.blocks;
 }
 
 /// Appends hits for `payload` to `out` in increasing offset order.
 /// `out` is not cleared so callers can reuse one buffer across
-/// datagrams. Thin wrapper over for_each_anchor, kept for callers that
-/// want the hit list itself.
+/// datagrams. Runs the hot path's composition at the current level —
+/// stage_anchor_masks, then for_each_anchor over the staged masks —
+/// for callers (the anchor-parity oracle) that want the hit list.
 void scan_anchors(rtcc::util::BytesView payload, const ScanOptions& opts,
                   std::vector<AnchorHit>& out);
 

@@ -445,7 +445,7 @@ std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
       // less traffic than an expanded hit list at media-payload hit
       // rates, and L1-resident at the default batch size). At the
       // scalar level there is no kernel and the node is a pass-through;
-      // the scan node then runs the fused per-offset loop itself.
+      // the scan node then runs the per-offset loop itself.
       scratch.masks.clear();
       scratch.mask_begin.clear();
       if (kernel != nullptr) {
@@ -481,12 +481,11 @@ std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
         const auto emit = [&](std::uint32_t off, std::uint8_t mask) {
           emit_at(payload, d32, off, mask, options_, st);
         };
-        if (kernel != nullptr)
-          for_each_anchor_staged(payload, options_,
-                                 scratch.masks.data() + scratch.mask_begin[si],
-                                 emit);
-        else
-          for_each_anchor(payload, options_, emit);
+        for_each_anchor(payload, options_,
+                        kernel != nullptr
+                            ? scratch.masks.data() + scratch.mask_begin[si]
+                            : nullptr,
+                        emit);
       }
       if (counters != nullptr) {
         ++counters->scan.vectors;

@@ -4,17 +4,11 @@
 #include <atomic>
 #include <cstdlib>
 
-#include "proto/quic/quic.hpp"
 #include "proto/stun/stun.hpp"
 #include "util/env_knob.hpp"
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#define RTCC_X86 1
-#endif
-#if defined(__aarch64__) && defined(__ARM_NEON)
-#include <arm_neon.h>
-#define RTCC_NEON 1
+#if defined(__SSE2__)
+#include <emmintrin.h>
 #endif
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -27,12 +21,13 @@ namespace rtcc::dpi {
 
 namespace {
 
-namespace stun = rtcc::proto::stun;
-namespace quic = rtcc::proto::quic;
+#if defined(__SSE2__)
 
-// ---- Kernels -------------------------------------------------------------
+namespace stun = rtcc::proto::stun;
+
+// ---- Kernel --------------------------------------------------------------
 //
-// Each kernel evaluates, for runs of 64 consecutive offsets, necessary
+// The kernel evaluates, for runs of 64 consecutive offsets, necessary
 // conditions of the downstream protocol sniffs, split per family:
 //   rtp           top bits 10, PT byte outside the RTCP 200-207 block,
 //                 and the full RTP header fit: 12 + 4*CSRC, plus — when
@@ -58,7 +53,7 @@ namespace quic = rtcc::proto::quic;
 // all-ones (filter off, sniffs still reject) by clamping the compare
 // bounds to 65535.
 //
-// One kernel call covers up to kMaxAnchorBlocks blocks: the vector
+// One kernel call covers a payload's whole kernel region: the vector
 // constants below are materialised once per call, not once per block.
 
 /// Per-step family masks before widening to the 64-bit block masks.
@@ -100,8 +95,6 @@ RTCC_KERNEL_INLINE std::uint64_t refine_rtp_ext(const std::uint8_t* p,
   }
   return rtp;
 }
-
-#if defined(RTCC_X86)
 
 /// Per-call constants, built once and kept in registers across blocks.
 struct Sse2Consts {
@@ -248,295 +241,9 @@ void anchor_blocks_sse2(const std::uint8_t* p, std::size_t i,
   }
 }
 
-#if defined(__GNUC__) || defined(__clang__)
-#define RTCC_HAVE_AVX2_KERNEL 1
-
-// The AVX2 variant is compiled via the per-function target attribute so
-// the rest of the binary stays baseline-ISA. Helpers must carry the
-// same attribute (and can then be inlined into the kernel).
-
-struct Avx2Consts {
-  __m256i vzero, vtop, v80, vf0, v40, v0f, v10, vf8, vc8, v12, vcookie0, v01;
-  __m256i gate_rtp, gate_rtcp, gate_stun, gate_quic;
-  __m256i vramp_lo, vtail_target, vn, vn4, v8;
-};
-
-__attribute__((target("avx2"), always_inline)) inline Avx2Consts avx2_consts(
-    std::size_t n, unsigned gates) {
-  Avx2Consts k;
-  k.vzero = _mm256_setzero_si256();
-  k.vtop = _mm256_set1_epi8(static_cast<char>(0xC0));
-  k.v80 = _mm256_set1_epi8(static_cast<char>(0x80));
-  k.vf0 = _mm256_set1_epi8(static_cast<char>(0xF0));
-  k.v40 = _mm256_set1_epi8(0x40);
-  k.v0f = _mm256_set1_epi8(0x0F);
-  k.v10 = _mm256_set1_epi8(0x10);
-  k.vf8 = _mm256_set1_epi8(static_cast<char>(0xF8));
-  k.vc8 = _mm256_set1_epi8(static_cast<char>(0xC8));
-  k.v12 = _mm256_set1_epi8(12);
-  k.vcookie0 = _mm256_set1_epi8(static_cast<char>(stun::kMagicCookie >> 24));
-  k.v01 = _mm256_set1_epi8(1);
-  const __m256i vall = _mm256_cmpeq_epi8(k.vzero, k.vzero);
-  k.gate_rtp = (gates & gate::kRtp) ? vall : k.vzero;
-  k.gate_rtcp = (gates & gate::kRtcp) ? vall : k.vzero;
-  k.gate_stun = (gates & gate::kStun) ? vall : k.vzero;
-  k.gate_quic = (gates & gate::kQuic) ? vall : k.vzero;
-  // unpacklo/hi and packs operate per 128-bit lane, so the 16-bit index
-  // ramps carry the lane split: low halves cover offsets {0-7, 16-23},
-  // high halves {8-15, 24-31}; packs then reassembles byte order.
-  k.vramp_lo =
-      _mm256_set_epi16(23, 22, 21, 20, 19, 18, 17, 16, 7, 6, 5, 4, 3, 2, 1, 0);
-  k.vtail_target =
-      _mm256_set1_epi16(static_cast<short>(n - stun::kHeaderSize));
-  k.vn = _mm256_set1_epi16(static_cast<short>(fit_bound(n)));
-  k.vn4 = _mm256_set1_epi16(static_cast<short>(fit_bound(n - 4)));
-  k.v8 = _mm256_set1_epi16(8);
-  return k;
-}
-
-__attribute__((target("avx2"), always_inline)) inline __m256i avx2_le_u16(
-    __m256i x, __m256i bound) {
-  return _mm256_cmpeq_epi16(_mm256_subs_epu16(x, bound),
-                            _mm256_setzero_si256());
-}
-
-// Lambdas do not inherit the enclosing function's target attribute, so
-// the movemask helper is a standalone attributed function.
-__attribute__((target("avx2"), always_inline)) inline std::uint64_t
-avx2_movemask(__m256i v) {
-  return static_cast<std::uint64_t>(
-      static_cast<std::uint32_t>(_mm256_movemask_epi8(v)));
-}
-
-/// One 32-lane AVX2 step.
-__attribute__((target("avx2"), always_inline)) inline StepMasks avx2_step(
-    const Avx2Consts& k, const std::uint8_t* p, std::size_t at) {
-  const __m256i a =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + at));
-  const __m256i b1 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + at + 1));
-  const __m256i b2 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + at + 2));
-  const __m256i b3 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + at + 3));
-  const __m256i b4 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + at + 4));
-  const __m256i top = _mm256_and_si256(a, k.vtop);
-  const auto mask = avx2_movemask;
-  // Shared 16-bit offset ramps and be16 length lanes (see the SSE2
-  // kernel for the lane-split layout packs/unpack impose).
-  const __m256i base = _mm256_set1_epi16(static_cast<short>(at));
-  const __m256i idx_lo = _mm256_add_epi16(base, k.vramp_lo);
-  const __m256i idx_hi = _mm256_add_epi16(idx_lo, k.v8);
-  const __m256i be_lo = _mm256_unpacklo_epi8(b3, b2);
-  const __m256i be_hi = _mm256_unpackhi_epi8(b3, b2);
-  StepMasks m;
-  {  // RTP/RTCP split by PT byte; RTP lanes must fit the header.
-    const __m256i cls2 = _mm256_cmpeq_epi8(top, k.v80);
-    const __m256i rtcp_pt =
-        _mm256_cmpeq_epi8(_mm256_and_si256(b1, k.vf8), k.vc8);
-    const __m256i cc4 = _mm256_slli_epi16(_mm256_and_si256(a, k.v0f), 2);
-    const __m256i ext4 = _mm256_srli_epi16(_mm256_and_si256(a, k.v10), 2);
-    const __m256i need = _mm256_add_epi8(k.v12, _mm256_add_epi8(cc4, ext4));
-    const __m256i fit_lo = avx2_le_u16(
-        _mm256_adds_epu16(_mm256_unpacklo_epi8(need, k.vzero), idx_lo), k.vn);
-    const __m256i fit_hi = avx2_le_u16(
-        _mm256_adds_epu16(_mm256_unpackhi_epi8(need, k.vzero), idx_hi), k.vn);
-    const __m256i fit = _mm256_packs_epi16(fit_lo, fit_hi);
-    m.rtp = mask(_mm256_and_si256(
-        _mm256_andnot_si256(rtcp_pt, _mm256_and_si256(cls2, fit)),
-        k.gate_rtp));
-    m.rtcp = mask(
-        _mm256_and_si256(_mm256_and_si256(cls2, rtcp_pt), k.gate_rtcp));
-  }
-  {  // ChannelData: byte range and 4 + be16 length tail fit.
-    const __m256i chan =
-        _mm256_cmpeq_epi8(_mm256_and_si256(a, k.vf0), k.v40);
-    const __m256i cfit_lo =
-        avx2_le_u16(_mm256_adds_epu16(be_lo, idx_lo), k.vn4);
-    const __m256i cfit_hi =
-        avx2_le_u16(_mm256_adds_epu16(be_hi, idx_hi), k.vn4);
-    const __m256i cfit = _mm256_packs_epi16(cfit_lo, cfit_hi);
-    m.channel_data =
-        mask(_mm256_and_si256(_mm256_and_si256(chan, cfit), k.gate_stun));
-  }
-  {
-    const __m256i cls0 = _mm256_cmpeq_epi8(top, k.vzero);
-    const __m256i cookie = _mm256_cmpeq_epi8(b4, k.vcookie0);
-    const __m256i tf_lo =
-        _mm256_cmpeq_epi16(_mm256_add_epi16(be_lo, idx_lo), k.vtail_target);
-    const __m256i tf_hi =
-        _mm256_cmpeq_epi16(_mm256_add_epi16(be_hi, idx_hi), k.vtail_target);
-    const __m256i tailfit = _mm256_packs_epi16(tf_lo, tf_hi);
-    m.stun = mask(_mm256_and_si256(
-        _mm256_and_si256(cls0, _mm256_or_si256(cookie, tailfit)),
-        k.gate_stun));
-  }
-  {
-    const __m256i cls3 = _mm256_cmpeq_epi8(top, k.vtop);
-    const __m256i ver = _mm256_and_si256(
-        _mm256_and_si256(_mm256_cmpeq_epi8(b1, k.vzero),
-                         _mm256_cmpeq_epi8(b2, k.vzero)),
-        _mm256_and_si256(_mm256_cmpeq_epi8(b3, k.vzero),
-                         _mm256_cmpeq_epi8(b4, k.v01)));
-    m.quic = mask(_mm256_and_si256(_mm256_and_si256(cls3, ver), k.gate_quic));
-  }
-  return m;
-}
-
-__attribute__((target("avx2"))) void anchor_blocks_avx2(
-    const std::uint8_t* p, std::size_t i, std::size_t n_blocks, std::size_t n,
-    unsigned gates, AnchorMasks* masks) {
-  const Avx2Consts k = avx2_consts(n, gates);
-  for (std::size_t b = 0; b < n_blocks; ++b, i += 64) {
-    // Dual loop: two 32-lane steps per block.
-    const StepMasks m0 = avx2_step(k, p, i);
-    const StepMasks m1 = avx2_step(k, p, i + 32);
-    const std::uint64_t rtp = m0.rtp | (m1.rtp << 32);
-    masks[b].rtp = rtp != 0 ? refine_rtp_ext(p, i, n, rtp) : 0;
-    masks[b].rtcp = m0.rtcp | (m1.rtcp << 32);
-    masks[b].stun = m0.stun | (m1.stun << 32);
-    masks[b].channel_data = m0.channel_data | (m1.channel_data << 32);
-    masks[b].quic = m0.quic | (m1.quic << 32);
-  }
-}
-#endif  // GNUC/clang
-#endif  // RTCC_X86
-
-#if defined(RTCC_NEON)
-
-RTCC_KERNEL_INLINE std::uint64_t neon_movemask(uint8x16_t m) {
-  const uint8x16_t bits = {1, 2, 4, 8, 16, 32, 64, 128,
-                           1, 2, 4, 8, 16, 32, 64, 128};
-  const uint8x16_t masked = vandq_u8(m, bits);
-  return static_cast<std::uint64_t>(
-      vaddv_u8(vget_low_u8(masked)) |
-      (static_cast<unsigned>(vaddv_u8(vget_high_u8(masked))) << 8));
-}
-
-struct NeonConsts {
-  uint8x16_t vzero, gate_rtp, gate_rtcp, gate_stun, gate_quic;
-  uint16x8_t ramp, target, vn, vn4;
-};
-
-RTCC_KERNEL_INLINE NeonConsts neon_consts(std::size_t n, unsigned gates) {
-  NeonConsts k;
-  k.vzero = vdupq_n_u8(0);
-  const uint8x16_t vall = vdupq_n_u8(0xFF);
-  k.gate_rtp = (gates & gate::kRtp) ? vall : k.vzero;
-  k.gate_rtcp = (gates & gate::kRtcp) ? vall : k.vzero;
-  k.gate_stun = (gates & gate::kStun) ? vall : k.vzero;
-  k.gate_quic = (gates & gate::kQuic) ? vall : k.vzero;
-  k.ramp = uint16x8_t{0, 1, 2, 3, 4, 5, 6, 7};
-  k.target = vdupq_n_u16(static_cast<std::uint16_t>(n - stun::kHeaderSize));
-  k.vn = vdupq_n_u16(fit_bound(n));
-  k.vn4 = vdupq_n_u16(fit_bound(n - 4));
-  return k;
-}
-
-RTCC_KERNEL_INLINE StepMasks neon_step(const NeonConsts& k,
-                                       const std::uint8_t* p,
-                                       std::size_t at) {
-  const uint8x16_t a = vld1q_u8(p + at);
-  const uint8x16_t b1 = vld1q_u8(p + at + 1);
-  const uint8x16_t b2 = vld1q_u8(p + at + 2);
-  const uint8x16_t b3 = vld1q_u8(p + at + 3);
-  const uint8x16_t b4 = vld1q_u8(p + at + 4);
-  const uint8x16_t top = vandq_u8(a, vdupq_n_u8(0xC0));
-  // Shared per-lane offsets and be16 length lanes: zip(b3, b2) yields
-  // little-endian 16-bit lanes equal to be16(p+at+2k).
-  const uint16x8_t base = vdupq_n_u16(static_cast<std::uint16_t>(at));
-  const uint16x8_t idx_lo = vaddq_u16(base, k.ramp);
-  const uint16x8_t idx_hi = vaddq_u16(idx_lo, vdupq_n_u16(8));
-  const uint16x8_t be_lo = vreinterpretq_u16_u8(vzip1q_u8(b3, b2));
-  const uint16x8_t be_hi = vreinterpretq_u16_u8(vzip2q_u8(b3, b2));
-  StepMasks m;
-  {  // RTP/RTCP split by PT byte; RTP lanes must fit the header.
-    const uint8x16_t cls2 = vceqq_u8(top, vdupq_n_u8(0x80));
-    const uint8x16_t rtcp_pt =
-        vceqq_u8(vandq_u8(b1, vdupq_n_u8(0xF8)), vdupq_n_u8(0xC8));
-    const uint8x16_t cc4 = vshlq_n_u8(vandq_u8(a, vdupq_n_u8(0x0F)), 2);
-    const uint8x16_t ext4 = vshrq_n_u8(vandq_u8(a, vdupq_n_u8(0x10)), 2);
-    const uint8x16_t need = vaddq_u8(vdupq_n_u8(12), vaddq_u8(cc4, ext4));
-    const uint16x8_t fit_lo = vcleq_u16(
-        vqaddq_u16(vmovl_u8(vget_low_u8(need)), idx_lo), k.vn);
-    const uint16x8_t fit_hi = vcleq_u16(
-        vqaddq_u16(vmovl_u8(vget_high_u8(need)), idx_hi), k.vn);
-    const uint8x16_t fit = vcombine_u8(vmovn_u16(fit_lo), vmovn_u16(fit_hi));
-    m.rtp = neon_movemask(vandq_u8(
-        vbicq_u8(vandq_u8(cls2, fit), rtcp_pt), k.gate_rtp));
-    m.rtcp = neon_movemask(vandq_u8(vandq_u8(cls2, rtcp_pt), k.gate_rtcp));
-  }
-  {  // ChannelData: byte range and 4 + be16 length tail fit.
-    const uint8x16_t chan =
-        vceqq_u8(vandq_u8(a, vdupq_n_u8(0xF0)), vdupq_n_u8(0x40));
-    const uint16x8_t cfit_lo = vcleq_u16(vqaddq_u16(be_lo, idx_lo), k.vn4);
-    const uint16x8_t cfit_hi = vcleq_u16(vqaddq_u16(be_hi, idx_hi), k.vn4);
-    const uint8x16_t cfit =
-        vcombine_u8(vmovn_u16(cfit_lo), vmovn_u16(cfit_hi));
-    m.channel_data =
-        neon_movemask(vandq_u8(vandq_u8(chan, cfit), k.gate_stun));
-  }
-  {
-    const uint8x16_t cls0 = vceqq_u8(top, k.vzero);
-    const uint8x16_t cookie =
-        vceqq_u8(b4, vdupq_n_u8(stun::kMagicCookie >> 24));
-    const uint16x8_t tf_lo = vceqq_u16(vaddq_u16(be_lo, idx_lo), k.target);
-    const uint16x8_t tf_hi = vceqq_u16(vaddq_u16(be_hi, idx_hi), k.target);
-    const uint8x16_t tailfit =
-        vcombine_u8(vmovn_u16(tf_lo), vmovn_u16(tf_hi));
-    m.stun = neon_movemask(vandq_u8(
-        vandq_u8(cls0, vorrq_u8(cookie, tailfit)), k.gate_stun));
-  }
-  {
-    const uint8x16_t cls3 = vceqq_u8(top, vdupq_n_u8(0xC0));
-    const uint8x16_t ver =
-        vandq_u8(vandq_u8(vceqq_u8(b1, k.vzero), vceqq_u8(b2, k.vzero)),
-                 vandq_u8(vceqq_u8(b3, k.vzero), vceqq_u8(b4, vdupq_n_u8(1))));
-    m.quic = neon_movemask(vandq_u8(vandq_u8(cls3, ver), k.gate_quic));
-  }
-  return m;
-}
-
-void anchor_blocks_neon(const std::uint8_t* p, std::size_t i,
-                        std::size_t n_blocks, std::size_t n, unsigned gates,
-                        AnchorMasks* masks) {
-  const NeonConsts k = neon_consts(n, gates);
-  for (std::size_t b = 0; b < n_blocks; ++b, i += 64) {
-    const StepMasks m0 = neon_step(k, p, i);
-    const StepMasks m1 = neon_step(k, p, i + 16);
-    const StepMasks m2 = neon_step(k, p, i + 32);
-    const StepMasks m3 = neon_step(k, p, i + 48);
-    const std::uint64_t rtp =
-        m0.rtp | (m1.rtp << 16) | (m2.rtp << 32) | (m3.rtp << 48);
-    masks[b].rtp = rtp != 0 ? refine_rtp_ext(p, i, n, rtp) : 0;
-    masks[b].rtcp =
-        m0.rtcp | (m1.rtcp << 16) | (m2.rtcp << 32) | (m3.rtcp << 48);
-    masks[b].stun =
-        m0.stun | (m1.stun << 16) | (m2.stun << 32) | (m3.stun << 48);
-    masks[b].channel_data = m0.channel_data | (m1.channel_data << 16) |
-                            (m2.channel_data << 32) | (m3.channel_data << 48);
-    masks[b].quic =
-        m0.quic | (m1.quic << 16) | (m2.quic << 32) | (m3.quic << 48);
-  }
-}
-
-#endif  // RTCC_NEON
+#endif  // __SSE2__
 
 // ---- Selection -----------------------------------------------------------
-
-SimdLevel probe_detected() {
-#if defined(RTCC_X86) && (defined(__GNUC__) || defined(__clang__))
-#if defined(RTCC_HAVE_AVX2_KERNEL)
-  if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-#endif
-  return SimdLevel::kSse2;
-#elif defined(RTCC_NEON)
-  return SimdLevel::kNeon;
-#else
-  return SimdLevel::kScalar;
-#endif
-}
 
 std::atomic<SimdLevel>& level_flag() {
   static std::atomic<SimdLevel> level{[] {
@@ -546,8 +253,8 @@ std::atomic<SimdLevel>& level_flag() {
       if (std::string_view{env} != "auto")
         rtcc::util::warn_bad_knob(
             "RTCC_SIMD", env,
-            parsed ? "level not supported on this CPU"
-                   : "want scalar/sse2/avx2/neon/auto");
+            parsed ? "level not supported by this build"
+                   : "want scalar/sse2/auto");
     }
     return detected_simd_level();
   }()};
@@ -557,17 +264,7 @@ std::atomic<SimdLevel>& level_flag() {
 }  // namespace
 
 std::string to_string(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return "scalar";
-    case SimdLevel::kSse2:
-      return "sse2";
-    case SimdLevel::kAvx2:
-      return "avx2";
-    case SimdLevel::kNeon:
-      return "neon";
-  }
-  return "?";
+  return level == SimdLevel::kSse2 ? "sse2" : "scalar";
 }
 
 std::optional<SimdLevel> parse_simd_level(std::string_view s) {
@@ -577,23 +274,11 @@ std::optional<SimdLevel> parse_simd_level(std::string_view s) {
         s[i] >= 'A' && s[i] <= 'Z' ? s[i] - 'A' + 'a' : s[i]);
   if (lower == "scalar") return SimdLevel::kScalar;
   if (lower == "sse2") return SimdLevel::kSse2;
-  if (lower == "avx2") return SimdLevel::kAvx2;
-  if (lower == "neon") return SimdLevel::kNeon;
   return std::nullopt;
 }
 
-SimdLevel detected_simd_level() {
-  static const SimdLevel detected = probe_detected();
-  return detected;
-}
-
 bool simd_level_supported(SimdLevel level) {
-  if (level == SimdLevel::kScalar) return true;
-  const SimdLevel best = detected_simd_level();
-  if (level == best) return true;
-  // On x86 every AVX2 machine also runs the SSE2 kernel; NEON and x86
-  // levels are mutually exclusive.
-  return level == SimdLevel::kSse2 && best == SimdLevel::kAvx2;
+  return level == SimdLevel::kScalar || level == detected_simd_level();
 }
 
 SimdLevel simd_level() {
@@ -607,26 +292,11 @@ SimdLevel set_simd_level(SimdLevel level) {
   return applied;
 }
 
-AnchorBlockFn anchor_block_fn(SimdLevel level) {
-  if (!simd_level_supported(level)) return nullptr;
-  switch (level) {
-    case SimdLevel::kScalar:
-      return nullptr;
-#if defined(RTCC_X86)
-    case SimdLevel::kSse2:
-      return &anchor_blocks_sse2;
-#if defined(RTCC_HAVE_AVX2_KERNEL)
-    case SimdLevel::kAvx2:
-      return &anchor_blocks_avx2;
+AnchorBlockFn anchor_block_fn([[maybe_unused]] SimdLevel level) {
+#if defined(__SSE2__)
+  if (level == SimdLevel::kSse2) return &anchor_blocks_sse2;
 #endif
-#endif
-#if defined(RTCC_NEON)
-    case SimdLevel::kNeon:
-      return &anchor_blocks_neon;
-#endif
-    default:
-      return nullptr;
-  }
+  return nullptr;
 }
 
 AnchorBlockFn anchor_block_fn() { return anchor_block_fn(simd_level()); }

@@ -1,26 +1,21 @@
-// Runtime-dispatched SIMD kernels for the anchor prefilter.
-//
-// PR 1 compiled the anchor scan against whatever vector ISA the build
-// target guaranteed (`#if defined(__SSE2__)`), which pins every binary
-// to the lowest common denominator and makes the wider-vector paths
-// untestable on the machine that has them. This layer replaces the
-// compile-time switch with a cpuid-selected function pointer:
+// The SSE2 vector kernel for the anchor prefilter and its level switch.
 //
 //   * the *kernel* contract is a pure hot-lane mask: given a payload
 //     pointer and a 64-offset block, return a bit per offset whose
 //     cheap anchor conditions *may* hold (a necessary condition, never
 //     a replacement — flagged offsets are re-tested by the exact scalar
-//     rules, so every level yields byte-identical anchors);
-//   * levels: scalar (no kernel; the plain per-offset loop), SSE2
-//     (4 x 16-lane quad loop), AVX2 (2 x 32-lane dual loop, compiled
-//     via the `target("avx2")` function attribute so no global -mavx2
-//     is needed), NEON on AArch64 builds;
-//   * selection: highest level the CPU supports, overridable by the
-//     `RTCC_SIMD` env knob (scalar|sse2|avx2|neon|auto) and at runtime
-//     by set_simd_level / SimdModeGuard (tests, benches, oracles).
+//     rules, so both levels yield byte-identical anchors);
+//   * levels: scalar (no kernel; the plain per-offset loop) and SSE2
+//     (4 x 16-lane quad loop), compiled wherever the target guarantees
+//     SSE2 (every x86-64 build). Other targets run the scalar loop;
+//   * selection: SSE2 when compiled in, overridable by the `RTCC_SIMD`
+//     env knob (scalar|sse2|auto) and at runtime by set_simd_level /
+//     SimdModeGuard (tests, benches, oracles).
 //
-// The testkit's SIMD-parity oracle runs the full DPI under every
-// *supported* level and asserts identical compliance signatures;
+// Wider-vector kernels were measured and deleted: their end-to-end edge
+// over SSE2 did not resolve (EXPERIMENTS.md "Anchor kernel levels").
+// The testkit's SIMD-parity oracle runs the full DPI under both levels
+// and asserts identical compliance signatures;
 // tests/test_simd_dispatch.cpp pins the selection logic itself.
 #pragma once
 
@@ -31,15 +26,22 @@
 
 namespace rtcc::dpi {
 
-enum class SimdLevel : std::uint8_t { kScalar = 0, kSse2, kAvx2, kNeon };
+enum class SimdLevel : std::uint8_t { kScalar = 0, kSse2 };
 
 [[nodiscard]] std::string to_string(SimdLevel level);
-/// "scalar" / "sse2" / "avx2" / "neon" (case-insensitive). nullopt for
-/// anything else, including "auto".
+/// "scalar" / "sse2" (case-insensitive). nullopt for anything else,
+/// including "auto".
 [[nodiscard]] std::optional<SimdLevel> parse_simd_level(std::string_view s);
 
-/// Best level this CPU supports, probed once (cpuid / target macros).
-[[nodiscard]] SimdLevel detected_simd_level();
+/// Best level this build runs: SSE2 where the target guarantees it,
+/// scalar elsewhere. A compile-time fact, no CPU probe.
+[[nodiscard]] constexpr SimdLevel detected_simd_level() {
+#if defined(__SSE2__)
+  return SimdLevel::kSse2;
+#else
+  return SimdLevel::kScalar;
+#endif
+}
 [[nodiscard]] bool simd_level_supported(SimdLevel level);
 
 /// Current level. Initialised once from RTCC_SIMD (unset / "auto" /
@@ -71,17 +73,12 @@ constexpr unsigned kQuic = 0x4;
 constexpr unsigned kRtcp = 0x8;
 }  // namespace gate
 
-/// Max 64-offset blocks per kernel call; callers size their mask array
-/// to this (2 KiB on the stack, covering 4096 offsets — 20x the default
-/// max_offset, so nearly every datagram is one call).
-constexpr std::size_t kMaxAnchorBlocks = 64;
-
 /// Hot-lane masks for one 64-offset block, split per protocol family.
 /// The families key off the first byte's top two bits (RTP and RTCP,
 /// which share class 10, are further split by the PT byte), so at most
 /// one mask has any given bit set — the walker classifies each hot
-/// offset without re-reading payload bytes. The kernels additionally
-/// fold the cheap *length* preconditions of the downstream sniffs into
+/// offset without re-reading payload bytes. The kernel additionally
+/// folds the cheap *length* preconditions of the downstream sniffs into
 /// the masks — RTP's header fit (12 + 4*CSRC + extension) and
 /// ChannelData's 4 + length tail bound — which rejects the bulk of the
 /// would-be emits on encrypted payloads before any scalar code runs.
@@ -108,16 +105,16 @@ struct AnchorMasks {
 /// back all-zero. One call covers a whole region so the kernel hoists
 /// its vector constants out of the block loop — per-block indirect
 /// calls were measurably slower than the old fully-inlined scan.
-/// Preconditions (caller-enforced): n_blocks <= kMaxAnchorBlocks, and
-/// i + 64*n_blocks <= fast_end where fast_end guarantees at least
-/// stun::kHeaderSize (20) readable bytes past every offset — kernels
-/// load up to 67 bytes past the last block's base.
+/// Precondition (caller-enforced): i + 64*n_blocks <= fast_end, where
+/// fast_end guarantees at least stun::kHeaderSize (20) readable bytes
+/// past every offset — the kernel loads up to 67 bytes past the last
+/// block's base.
 using AnchorBlockFn = void (*)(const std::uint8_t* p, std::size_t i,
                                std::size_t n_blocks, std::size_t n,
                                unsigned gates, AnchorMasks* masks);
 
 /// Kernel for `level`; nullptr for kScalar (callers run the plain loop)
-/// and for levels this build/CPU cannot execute.
+/// and for levels this build cannot execute.
 [[nodiscard]] AnchorBlockFn anchor_block_fn(SimdLevel level);
 /// Kernel for the current simd_level().
 [[nodiscard]] AnchorBlockFn anchor_block_fn();

@@ -6,11 +6,21 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 namespace rtcc::service {
 
 namespace {
+
+/// Per-request budget for reading the request line. The endpoint has
+/// one serving thread, so a client that connects and then stalls holds
+/// every other scrape for at most this long instead of forever.
+constexpr std::chrono::milliseconds kRequestDeadline{500};
+
+/// Request bytes read per client: any sane "GET <path> HTTP/1.x" line
+/// fits; this endpoint serves scrapers, not browsers.
+constexpr std::size_t kMaxRequest = 2048;
 
 void close_if(int& fd) {
   if (fd >= 0) {
@@ -30,6 +40,33 @@ void write_all(int fd, const std::string& data) {
     }
     off += static_cast<std::size_t>(n);
   }
+}
+
+/// Reads from `client` until the first line ends, the peer closes,
+/// kMaxRequest bytes arrive or kRequestDeadline passes, whichever comes
+/// first, polling `stop_fd` alongside so stop() never waits on a
+/// client. Returns false when stop() fired.
+bool read_request(int client, int stop_fd, std::string& out) {
+  const auto deadline = std::chrono::steady_clock::now() + kRequestDeadline;
+  char buf[kMaxRequest];
+  std::size_t len = 0;
+  while (len < sizeof buf && std::memchr(buf, '\n', len) == nullptr) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    if (left <= 0) break;
+    pollfd fds[2] = {{client, POLLIN, 0}, {stop_fd, POLLIN, 0}};
+    const int rc = ::poll(fds, 2, static_cast<int>(left));
+    if (rc < 0 && errno == EINTR) continue;
+    if (rc <= 0) break;
+    if ((fds[1].revents & POLLIN) != 0) return false;
+    const ssize_t n = ::read(client, buf + len, sizeof buf - len);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    len += static_cast<std::size_t>(n);
+  }
+  out.assign(buf, len);
+  return true;
 }
 
 std::string http_response(int status, const char* reason,
@@ -111,20 +148,19 @@ void HttpExporter::serve() {
 
     const int client = ::accept(listen_fd_, nullptr, nullptr);
     if (client < 0) continue;
-    // One short read covers any sane "GET <path> HTTP/1.x" request
-    // line; this endpoint serves scrapers, not browsers.
-    char buf[2048];
-    const ssize_t n = ::read(client, buf, sizeof buf - 1);
-    if (n <= 0) {
+    std::string request;
+    if (!read_request(client, stop_pipe_[0], request)) {
+      ::close(client);
+      return;  // stop() woke us mid-request
+    }
+    if (request.empty()) {
       ::close(client);
       continue;
     }
-    buf[n] = '\0';
     std::string path;
-    if (std::strncmp(buf, "GET ", 4) == 0) {
-      const char* start = buf + 4;
-      const char* end = std::strchr(start, ' ');
-      if (end != nullptr) path.assign(start, end);
+    if (request.compare(0, 4, "GET ") == 0) {
+      const auto end = request.find(' ', 4);
+      if (end != std::string::npos) path = request.substr(4, end - 4);
     }
 
     std::string response;

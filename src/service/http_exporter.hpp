@@ -8,8 +8,11 @@
 //   GET /healthz  -> the health callback's string (200) or 503
 //
 // Shutdown uses the self-pipe idiom: stop() writes one byte into a
-// pipe the accept loop polls alongside the listen socket, so the
-// thread wakes immediately without signals or timeouts.
+// pipe the accept loop polls alongside the listen socket, and the
+// request read polls alongside the client, so the thread wakes
+// immediately without signals. Each request has a short fixed deadline
+// (500 ms) and a bounded read, so an idle or slow client cannot wedge
+// the one serving thread.
 #pragma once
 
 #include <atomic>

@@ -641,8 +641,7 @@ std::optional<std::string> check_simd_parity(
   const rtcc::dpi::ScanningDpi dpi;
   std::optional<std::vector<rtcc::dpi::DatagramAnalysis>> scalar;
   for (const auto level :
-       {rtcc::dpi::SimdLevel::kScalar, rtcc::dpi::SimdLevel::kSse2,
-        rtcc::dpi::SimdLevel::kAvx2, rtcc::dpi::SimdLevel::kNeon}) {
+       {rtcc::dpi::SimdLevel::kScalar, rtcc::dpi::SimdLevel::kSse2}) {
     if (!rtcc::dpi::simd_level_supported(level)) continue;
     const rtcc::dpi::SimdModeGuard guard(level);
     auto got = dpi.analyze_stream(stream);

@@ -11,11 +11,14 @@
 //     ledger) and /healthz flips 200 -> 503 on drain;
 //   * SIGTERM through the real handler drains with exit code 0;
 //   * socket ingest feeds the same engine (one connection = one pcap);
+//   * an idle metrics client delays /healthz by at most the per-request
+//     deadline and never holds up stop();
 //   * RTCC_SERVICE_EPOCH knob parses strictly with fallback.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -27,6 +30,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <map>
 #include <optional>
 #include <string>
@@ -38,6 +42,7 @@
 #include "report/json_export.hpp"
 #include "report/metrics.hpp"
 #include "service/daemon.hpp"
+#include "service/http_exporter.hpp"
 
 namespace {
 
@@ -76,11 +81,10 @@ bool wait_until(const std::function<bool()>& pred, int timeout_ms = 30000) {
   return true;
 }
 
-/// Blocking HTTP/1.0 GET against the exporter; returns the full
-/// response (status line + headers + body), empty on connect failure.
-std::string http_get(std::uint16_t port, const std::string& path) {
+/// TCP connection to the exporter on 127.0.0.1:`port`; -1 on failure.
+int connect_loopback(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -88,8 +92,20 @@ std::string http_get(std::uint16_t port, const std::string& path) {
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
       0) {
     ::close(fd);
-    return {};
+    return -1;
   }
+  return fd;
+}
+
+/// Blocking HTTP/1.0 GET against the exporter; returns the full
+/// response (status line + headers + body), empty on connect failure.
+/// Reads give up after 3 s, so a wedged server fails the caller's
+/// checks instead of hanging the suite.
+std::string http_get(std::uint16_t port, const std::string& path) {
+  const int fd = connect_loopback(port);
+  if (fd < 0) return {};
+  const timeval timeout{3, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
   const std::string req = "GET " + path + " HTTP/1.0\r\n\r\n";
   (void)!::write(fd, req.data(), req.size());
   std::string out;
@@ -360,6 +376,33 @@ TEST(Service, OneshotOnEmptyFolderDrainsImmediately) {
   EXPECT_EQ(jsonl.epoch_lines, 1u);  // the final pass always closes
   EXPECT_TRUE(jsonl.saw_final_epoch);
   fs::remove_all(dir);
+}
+
+TEST(Service, IdleMetricsClientNeitherWedgesScrapesNorStop) {
+  const service::MetricsRegistry registry;
+  service::HttpExporter exporter(registry, [] { return true; });
+  std::string err;
+  ASSERT_TRUE(exporter.start(0, &err)) << err;
+
+  // A peer that connects and never sends a byte (a port scanner, a
+  // stuck scraper): /healthz still answers once its deadline passes.
+  const int idle = connect_loopback(exporter.port());
+  ASSERT_GE(idle, 0);
+  const std::string health = http_get(exporter.port(), "/healthz");
+  EXPECT_EQ(health.rfind("HTTP/1.0 200", 0), 0u) << health;
+
+  // A second idle peer is mid-read when stop() arrives: stop() returns
+  // without waiting for the peer or the deadline.
+  const int stalled = connect_loopback(exporter.port());
+  ASSERT_GE(stalled, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  auto stopped = std::async(std::launch::async, [&] { exporter.stop(); });
+  const bool prompt =
+      stopped.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  ::close(idle);
+  ::close(stalled);  // frees a server that waits on its clients
+  stopped.wait();
+  EXPECT_TRUE(prompt) << "stop() waited on an idle client";
 }
 
 TEST(Service, ServiceEpochKnobParsesStrictlyWithFallback) {
