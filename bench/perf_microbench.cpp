@@ -13,6 +13,7 @@
 #include "dpi/simd_dispatch.hpp"
 #include "dpi/strict_dpi.hpp"
 #include "emul/app_model.hpp"
+#include "emul/sfu.hpp"
 #include "filter/pipeline.hpp"
 #include "proto/rtcp/rtcp.hpp"
 #include "proto/rtp/rtp.hpp"
@@ -119,23 +120,18 @@ void BM_SniExtract(benchmark::State& state) {
 }
 BENCHMARK(BM_SniExtract);
 
-/// Collects the largest UDP stream of a Zoom relay call (every media
-/// datagram behind a proprietary header — the DPI stress case) as a
-/// reusable scanning workload.
+/// The largest UDP stream of a trace as a reusable scanning workload.
 struct DpiWorkload {
-  emul::EmulatedCall call;
+  net::Trace trace;
   std::vector<dpi::StreamDatagram> datagrams;
   std::uint64_t bytes = 0;
 
-  explicit DpiWorkload(double media_scale, double call_s = 300.0) {
-    emul::CallConfig cfg;
-    cfg.app = emul::AppId::kZoom;
-    cfg.network = emul::NetworkSetup::kWifiRelay;
-    cfg.media_scale = media_scale;
-    cfg.call_s = call_s;
-    cfg.background = false;
-    call = emul::emulate_call(cfg);
-    const auto table = net::group_streams(call.trace);
+  // The views in `datagrams` point into `trace`: never copy or move.
+  DpiWorkload(const DpiWorkload&) = delete;
+  DpiWorkload& operator=(const DpiWorkload&) = delete;
+
+  explicit DpiWorkload(net::Trace t) : trace(std::move(t)) {
+    const auto table = net::group_streams(trace);
     const net::Stream* biggest = nullptr;
     for (const auto& s : table.streams)
       if (s.key.transport == net::Transport::kUdp &&
@@ -143,13 +139,39 @@ struct DpiWorkload {
         biggest = &s;
     for (const auto& p : biggest->packets) {
       dpi::StreamDatagram d;
-      d.payload = net::packet_payload(call.trace, p);
+      d.payload = net::packet_payload(trace, p);
       d.ts = p.ts;
       datagrams.push_back(d);
       bytes += d.payload.size();
     }
   }
 };
+
+/// A Zoom relay call: every media datagram sits behind a proprietary
+/// header — the DPI stress case.
+DpiWorkload zoom_workload(double media_scale, double call_s = 300.0) {
+  emul::CallConfig cfg;
+  cfg.app = emul::AppId::kZoom;
+  cfg.network = emul::NetworkSetup::kWifiRelay;
+  cfg.media_scale = media_scale;
+  cfg.call_s = call_s;
+  cfg.background = false;
+  return DpiWorkload(emul::emulate_call(cfg).trace);
+}
+
+/// A 20-party, 2-layer SFU call at the rtccbench `capture` media scale:
+/// one device's flow carries 19 senders' SRTP-shaped media, so nearly
+/// every RTP-shaped scan offset yields a one-off noise SSRC.
+DpiWorkload sfu_workload() {
+  emul::SfuConfig cfg;
+  cfg.participants = 20;
+  cfg.simulcast_layers = 2;
+  cfg.media_scale = 0.045;
+  cfg.pre_call_s = 0.0;
+  cfg.post_call_s = 0.0;
+  cfg.background = false;
+  return DpiWorkload(emul::emulate_sfu_call(cfg).trace);
+}
 
 void run_scanning_bench(benchmark::State& state, const DpiWorkload& wl,
                         const dpi::ScanOptions& opts) {
@@ -169,7 +191,7 @@ void run_scanning_bench(benchmark::State& state, const DpiWorkload& wl,
 /// The §4.1.1 tradeoff: scanning cost grows with the offset limit k.
 /// Arg 0 = k, arg 1 = anchor prefilter on/off.
 void BM_ScanningDpi(benchmark::State& state) {
-  static const DpiWorkload wl(0.02);
+  static const DpiWorkload wl = zoom_workload(0.02);
   dpi::ScanOptions opts;
   opts.max_offset = static_cast<std::size_t>(state.range(0));
   opts.use_anchor_prefilter = state.range(1) != 0;
@@ -182,13 +204,21 @@ BENCHMARK(BM_ScanningDpi)
 /// Macro benchmark at full media scale (≈160 pps per direction), the
 /// acceptance workload for the anchor prefilter: anchor=1 vs anchor=0
 /// is the claimed ≥3x.
+/// Arm sfu:1 scans the largest flow of a 20-party SFU call instead,
+/// the per-stream shape of rtccbench's `capture` workload (prefilter on
+/// only: the naive loop adds nothing there the Zoom pair does not show).
 void BM_ScanningDpiMacro(benchmark::State& state) {
-  static const DpiWorkload wl(1.0, 30.0);
+  static const DpiWorkload zoom = zoom_workload(1.0, 30.0);
+  static const DpiWorkload sfu = sfu_workload();
   dpi::ScanOptions opts;
   opts.use_anchor_prefilter = state.range(0) != 0;
-  run_scanning_bench(state, wl, opts);
+  run_scanning_bench(state, state.range(1) != 0 ? sfu : zoom, opts);
 }
-BENCHMARK(BM_ScanningDpiMacro)->Arg(0)->Arg(1)->ArgNames({"anchor"});
+BENCHMARK(BM_ScanningDpiMacro)
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->ArgNames({"anchor", "sfu"});
 
 /// Vector-pipeline sweep over the same macro workload across the forced
 /// SIMD kernel level (scalar, SSE2). A level this build cannot execute
@@ -196,7 +226,7 @@ BENCHMARK(BM_ScanningDpiMacro)->Arg(0)->Arg(1)->ArgNames({"anchor"});
 /// All cells produce byte-identical analyses (the parity oracles
 /// enforce that); this measures cost only.
 void BM_BatchPipeline(benchmark::State& state) {
-  static const DpiWorkload wl(1.0, 30.0);
+  static const DpiWorkload wl = zoom_workload(1.0, 30.0);
   const auto level = static_cast<dpi::SimdLevel>(state.range(0));
   if (!dpi::simd_level_supported(level)) {
     state.SkipWithError("SIMD level not supported by this build");

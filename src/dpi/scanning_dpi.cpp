@@ -1,6 +1,7 @@
 #include "dpi/scanning_dpi.hpp"
 
 #include <algorithm>
+#include <array>
 #include <unordered_map>
 
 #include "dpi/anchor_scan.hpp"
@@ -72,10 +73,12 @@ struct TxidHash {
 /// candidate array to build them re-read tens of MB per relay stream.
 /// The RTP table is the big one — the scan yields one noise candidate
 /// per ~25% of offsets with mostly-unique fake SSRCs — and is kept
-/// flat: (ssrc, seq) packed into one u64, sorted once, then walked
-/// group-by-group. A map of per-SSRC vectors here costs an allocation
-/// per noise SSRC and dominates validation time. The small tables
-/// (STUN txids, channels, RTCP SSRCs) stay hashed.
+/// flat: (ssrc, seq) packed into one u64. Validation first drops the
+/// pairs whose SSRC occurs once (drop_single_ssrc_pairs: the bulk of
+/// the noise, and never valid), then groups the rest by SSRC and walks
+/// them group-by-group. A map of per-SSRC vectors here costs an
+/// allocation per noise SSRC and dominates validation time. The small
+/// tables (STUN txids, channels, RTCP SSRCs) stay hashed.
 struct ScanState {
   std::vector<Candidate> candidates;
   std::vector<std::uint64_t> rtp_pairs;  // ssrc << 16 | seq
@@ -172,8 +175,58 @@ std::uint16_t seq_distance(std::uint16_t a, std::uint16_t b) {
   return std::min(d1, d2);
 }
 
-/// Groups packed (ssrc << 16 | seq) keys by SSRC, ascending. There is
-/// roughly one key per case-2 anchor — ~10^5 for a relay media stream —
+/// Multiplicative hash of an SSRC onto `log2_bits` bits (<= 32).
+inline std::uint32_t ssrc_bucket(std::uint32_t ssrc, unsigned log2_bits) {
+  return (ssrc * 0x9E3779B1u) >> (32 - log2_bits);
+}
+
+/// Repeat filter ahead of the grouping: drops every packed
+/// (ssrc << 16 | seq) pair whose SSRC occurs exactly once in `v`,
+/// keeping the survivors in order (stable, in place). On encrypted
+/// media nearly every RTP-shaped offset carries a fresh random SSRC, so
+/// this removes most of the keys before the radix passes see them. An
+/// SSRC seen once has support 1 and can never validate (continuity
+/// needs two distinct seqs), and its support is known without a table
+/// entry, so nothing downstream changes.
+///
+/// Two hashed bitsets over the SSRC, "seen" and "seen again": a pair
+/// is kept when its bucket saw a second arrival. A repeated SSRC always
+/// sets its bucket's second bit, so every pair of it survives; a
+/// singleton that shares a bucket with another SSRC survives too and is
+/// merely grouped with support 1. The bitsets are sized to ~8 bits per
+/// pair, capped at 512 KiB each, and interleaved so one cache line
+/// holds both bits of a bucket.
+void drop_single_ssrc_pairs(std::vector<std::uint64_t>& v) {
+  constexpr unsigned kMaxLog2Bits = 22;  // 4 Mi bits = 512 KiB per set
+  unsigned log2_bits = 9;
+  while (log2_bits < kMaxLog2Bits &&
+         (std::size_t{1} << log2_bits) < 8 * v.size())
+    ++log2_bits;
+  // [2w] = seen, [2w + 1] = seen again. thread_local like the rest of
+  // the DPI scratch: a fresh 1 MiB allocation per call would fault in.
+  static thread_local std::vector<std::uint64_t> sets;
+  sets.assign(std::size_t{2} << (log2_bits - 6), 0);
+  const auto bucket = [log2_bits](std::uint64_t x) {
+    return ssrc_bucket(static_cast<std::uint32_t>(x >> 16), log2_bits);
+  };
+  for (const std::uint64_t x : v) {
+    const std::uint32_t h = bucket(x);
+    std::uint64_t* w = &sets[2 * (h >> 6)];
+    const std::uint64_t bit = std::uint64_t{1} << (h & 63);
+    w[1] |= w[0] & bit;
+    w[0] |= bit;
+  }
+  std::size_t kept = 0;
+  for (const std::uint64_t x : v) {
+    const std::uint32_t h = bucket(x);
+    v[kept] = x;
+    kept += (sets[2 * (h >> 6) + 1] >> (h & 63)) & 1;
+  }
+  v.resize(kept);
+}
+
+/// Groups packed (ssrc << 16 | seq) keys by SSRC, ascending. Even after
+/// the repeat filter there are ~10^4-10^5 keys on a relay media stream,
 /// so comparison sorting them costs more than the whole validation
 /// walk; two 16-bit LSD counting passes over the SSRC field are
 /// near-linear instead. Sequence numbers inside a group stay in
@@ -504,12 +557,15 @@ std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
 
   // Grouping the packed pairs by SSRC gives the support counts; each
   // qualifying group's sequence numbers are sorted on demand below.
+  // SSRCs seen once are filtered out first: their support is 1.
+  drop_single_ssrc_pairs(st.rtp_pairs);
   group_rtp_pairs_by_ssrc(st.rtp_pairs);
   std::vector<std::uint64_t>& rtp_pairs = st.rtp_pairs;
 
   // Per-SSRC support (for overlap dominance) and validated SSRCs
   // (support + sequence-number continuity), ascending, probed with
-  // binary search in the loops below.
+  // binary search in the loops below. An SSRC missing from rtp_ssrcs
+  // was emitted once (the repeat filter dropped it).
   std::vector<std::uint32_t> rtp_ssrcs, rtp_support, valid_rtp_ssrcs;
   rtp_ssrcs.reserve(rtp_pairs.size());
   rtp_support.reserve(rtp_pairs.size());
@@ -546,8 +602,20 @@ std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
     }
     lo = hi;
   }
-  const auto ssrc_valid = [&valid_rtp_ssrcs](std::uint32_t ssrc) {
-    return std::binary_search(valid_rtp_ssrcs.begin(), valid_rtp_ssrcs.end(),
+  // Bitmap gate in front of the binary search: a 1 KiB (L1-resident)
+  // hashed set of the valid SSRCs, so the walk rejects a noise RTP
+  // candidate with one bit test. A set bit may be a collision, and the
+  // search settles it.
+  constexpr unsigned kValidLog2Bits = 13;
+  std::array<std::uint64_t, (1u << kValidLog2Bits) / 64> valid_bits{};
+  for (const std::uint32_t ssrc : valid_rtp_ssrcs) {
+    const std::uint32_t h = ssrc_bucket(ssrc, kValidLog2Bits);
+    valid_bits[h >> 6] |= std::uint64_t{1} << (h & 63);
+  }
+  const auto ssrc_valid = [&](std::uint32_t ssrc) {
+    const std::uint32_t h = ssrc_bucket(ssrc, kValidLog2Bits);
+    return ((valid_bits[h >> 6] >> (h & 63)) & 1) != 0 &&
+           std::binary_search(valid_rtp_ssrcs.begin(), valid_rtp_ssrcs.end(),
                               ssrc);
   };
 
@@ -633,10 +701,13 @@ std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
     // timestamp byte with three real SSRC bytes). A candidate whose
     // SSRC has a small fraction of the support of an overlapping RTP
     // candidate is noise and must not shadow the genuine message.
+    // Every RTP candidate emitted one pair, so an SSRC the repeat
+    // filter dropped has support exactly 1. (With validation on, only
+    // valid SSRCs — support >= 2, always in the table — reach here.)
     auto support_of = [&](const Candidate* c) -> std::size_t {
       const auto it =
           std::lower_bound(rtp_ssrcs.begin(), rtp_ssrcs.end(), c->ssrc);
-      if (it == rtp_ssrcs.end() || *it != c->ssrc) return 0;
+      if (it == rtp_ssrcs.end() || *it != c->ssrc) return 1;
       return rtp_support[static_cast<std::size_t>(it - rtp_ssrcs.begin())];
     };
     for (std::size_t ci = 0; ci < cands.size(); ++ci) {

@@ -33,8 +33,8 @@ namespace stun = rtcc::proto::stun;
 //                 and the full RTP header fit: 12 + 4*CSRC, plus — when
 //                 the extension bit is set — the 4-byte extension
 //                 header and its 32-bit-word length, <= n - offset (the
-//                 extension part is refined per hot lane by
-//                 refine_rtp_ext; its length field sits at a
+//                 extension part is refined by refine_rtp_ext on the
+//                 hot lanes with X set; its length field sits at a
 //                 CSRC-dependent offset no vector load can reach)
 //   rtcp          top bits 10, PT byte 200-207
 //   channel_data  first byte 0x40-0x4F and 4 + be16(len) <= n - offset
@@ -57,8 +57,10 @@ namespace stun = rtcc::proto::stun;
 // constants below are materialised once per call, not once per block.
 
 /// Per-step family masks before widening to the 64-bit block masks.
+/// `ext` is not a family: it flags the lanes whose first byte has the
+/// RTP extension bit set, the only lanes refine_rtp_ext has to visit.
 struct StepMasks {
-  std::uint64_t rtp, rtcp, stun, channel_data, quic;
+  std::uint64_t rtp, rtcp, stun, channel_data, quic, ext;
 };
 
 /// Compare bound for the 16-bit fit checks: saturating-add lane sums
@@ -74,24 +76,26 @@ inline std::uint16_t fit_bound(std::size_t v) {
 /// anchor's header-fit condition, whose variable-offset length read
 /// does not vectorise. On encrypted payloads a random 16-bit word count
 /// rarely fits the remainder, so this rejects roughly half the
-/// remaining RTP lanes. It runs per *hot* lane (not per offset) and the
-/// vector fit already guaranteed 12 + 4*CSRC + 4 <= n - i for ext
-/// lanes, so the length field read is in bounds.
+/// remaining RTP lanes. It visits only the hot RTP lanes with the
+/// extension bit set (`ext`, from the same vector step; lanes without
+/// it are already exact) and clears a rejected lane without a branch.
+/// The vector fit already guaranteed 12 + 4*CSRC + 4 <= n - i for
+/// those lanes, so the length field read is in bounds.
 RTCC_KERNEL_INLINE std::uint64_t refine_rtp_ext(const std::uint8_t* p,
                                                 std::size_t base,
                                                 std::size_t n,
-                                                std::uint64_t rtp) {
-  std::uint64_t bits = rtp;
+                                                std::uint64_t rtp,
+                                                std::uint64_t ext) {
+  std::uint64_t bits = rtp & ext;
   while (bits != 0) {
     const unsigned k = static_cast<unsigned>(__builtin_ctzll(bits));
     bits &= bits - 1;
     const std::size_t i = base + k;
-    const std::uint8_t b0 = p[i];
-    if ((b0 & 0x10) == 0) continue;
-    const std::size_t hdr = 12 + 4 * (b0 & 0x0F);
+    const std::size_t hdr = 12 + 4 * (p[i] & 0x0F);
     const std::size_t words =
         (std::size_t{p[i + hdr + 2]} << 8) | p[i + hdr + 3];
-    if (hdr + 4 + 4 * words > n - i) rtp &= ~(std::uint64_t{1} << k);
+    const std::uint64_t reject = hdr + 4 + 4 * words > n - i;
+    rtp &= ~(reject << k);
   }
   return rtp;
 }
@@ -181,6 +185,10 @@ RTCC_KERNEL_INLINE StepMasks sse2_step(const Sse2Consts& k,
     const __m128i fit = _mm_packs_epi16(fit_lo, fit_hi);
     m.rtp = mask(_mm_and_si128(
         _mm_andnot_si128(rtcp_pt, _mm_and_si128(cls2, fit)), k.gate_rtp));
+    // The X bit (bit 4) of each byte, shifted into its sign bit for
+    // movemask: a 16-bit shift by 3 moves both bytes' bit 4 to their
+    // own bit 7 (bits crossing the byte boundary land below bit 7).
+    m.ext = mask(_mm_slli_epi16(a, 3));
     m.rtcp =
         mask(_mm_and_si128(_mm_and_si128(cls2, rtcp_pt), k.gate_rtcp));
   }
@@ -229,7 +237,9 @@ void anchor_blocks_sse2(const std::uint8_t* p, std::size_t i,
     const StepMasks m3 = sse2_step(k, p, i + 48);
     const std::uint64_t rtp =
         m0.rtp | (m1.rtp << 16) | (m2.rtp << 32) | (m3.rtp << 48);
-    masks[b].rtp = rtp != 0 ? refine_rtp_ext(p, i, n, rtp) : 0;
+    const std::uint64_t ext =
+        m0.ext | (m1.ext << 16) | (m2.ext << 32) | (m3.ext << 48);
+    masks[b].rtp = refine_rtp_ext(p, i, n, rtp, ext);
     masks[b].rtcp =
         m0.rtcp | (m1.rtcp << 16) | (m2.rtcp << 32) | (m3.rtcp << 48);
     masks[b].stun =

@@ -5,17 +5,18 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <vector>
 
 namespace rtcc::service {
 
 namespace {
 
-/// Per-request budget for reading the request line. The endpoint has
-/// one serving thread, so a client that connects and then stalls holds
-/// every other scrape for at most this long instead of forever.
+/// Per-client budget for reading the request line: a client that
+/// connects and then stalls holds its slot for at most this long.
 constexpr std::chrono::milliseconds kRequestDeadline{500};
 
 /// Request bytes read per client: any sane "GET <path> HTTP/1.x" line
@@ -29,11 +30,13 @@ void close_if(int& fd) {
   }
 }
 
-/// Full write with EINTR retry; best-effort (the peer may close early).
+/// Full write with EINTR retry; best-effort (the peer may close early,
+/// and MSG_NOSIGNAL keeps that from raising SIGPIPE).
 void write_all(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    const ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return;
@@ -42,32 +45,16 @@ void write_all(int fd, const std::string& data) {
   }
 }
 
-/// Reads from `client` until the first line ends, the peer closes,
-/// kMaxRequest bytes arrive or kRequestDeadline passes, whichever comes
-/// first, polling `stop_fd` alongside so stop() never waits on a
-/// client. Returns false when stop() fired.
-bool read_request(int client, int stop_fd, std::string& out) {
-  const auto deadline = std::chrono::steady_clock::now() + kRequestDeadline;
-  char buf[kMaxRequest];
-  std::size_t len = 0;
-  while (len < sizeof buf && std::memchr(buf, '\n', len) == nullptr) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          deadline - std::chrono::steady_clock::now())
-                          .count();
-    if (left <= 0) break;
-    pollfd fds[2] = {{client, POLLIN, 0}, {stop_fd, POLLIN, 0}};
-    const int rc = ::poll(fds, 2, static_cast<int>(left));
-    if (rc < 0 && errno == EINTR) continue;
-    if (rc <= 0) break;
-    if ((fds[1].revents & POLLIN) != 0) return false;
-    const ssize_t n = ::read(client, buf + len, sizeof buf - len);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    len += static_cast<std::size_t>(n);
-  }
-  out.assign(buf, len);
-  return true;
-}
+/// Clients read at once: the listen backlog. Further connections wait
+/// in the kernel queue until a slot frees, at most kRequestDeadline.
+constexpr std::size_t kMaxClients = 16;
+
+/// An accepted client whose request line is still arriving.
+struct PendingClient {
+  int fd = -1;
+  std::chrono::steady_clock::time_point deadline;
+  std::string request;
+};
 
 std::string http_response(int status, const char* reason,
                           const std::string& body,
@@ -110,7 +97,8 @@ bool HttpExporter::start(std::uint16_t port, std::string* error) {
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof addr) != 0)
     return fail("bind");
-  if (::listen(listen_fd_, 16) != 0) return fail("listen");
+  if (::listen(listen_fd_, static_cast<int>(kMaxClients)) != 0)
+    return fail("listen");
 
   socklen_t len = sizeof addr;
   if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
@@ -136,48 +124,76 @@ void HttpExporter::stop() {
 }
 
 void HttpExporter::serve() {
+  using Clock = std::chrono::steady_clock;
+  std::vector<PendingClient> clients;
+  std::vector<pollfd> fds;
+  char buf[kMaxRequest];
   while (running_.load(std::memory_order_acquire)) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {stop_pipe_[0], POLLIN, 0}};
-    const int rc = ::poll(fds, 2, -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      return;
+    // One poll set: the stop pipe, the listen socket while a client slot
+    // is free (poll skips a negative fd), and every pending client.
+    fds.clear();
+    fds.push_back({stop_pipe_[0], POLLIN, 0});
+    fds.push_back(
+        {clients.size() < kMaxClients ? listen_fd_ : -1, POLLIN, 0});
+    for (const PendingClient& c : clients) fds.push_back({c.fd, POLLIN, 0});
+    int timeout_ms = -1;
+    if (!clients.empty()) {
+      const auto first =
+          std::ranges::min_element(clients, {}, &PendingClient::deadline)
+              ->deadline;
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          first - Clock::now());
+      timeout_ms = static_cast<int>(std::max<std::int64_t>(0, left.count()));
     }
-    if ((fds[1].revents & POLLIN) != 0) return;  // stop() woke us
-    if ((fds[0].revents & POLLIN) == 0) continue;
+    const int rc = ::poll(fds.data(), fds.size(), timeout_ms);
+    if (rc < 0 && errno != EINTR) break;
+    if (rc > 0 && (fds[0].revents & POLLIN) != 0) break;  // stop() woke us
 
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) continue;
-    std::string request;
-    if (!read_request(client, stop_pipe_[0], request)) {
-      ::close(client);
-      return;  // stop() woke us mid-request
+    // Answer each client as soon as its request line ends, the peer
+    // closes, kMaxRequest bytes arrive or its deadline passes.
+    const auto now = Clock::now();
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+      PendingClient& c = clients[i];
+      bool done = now >= c.deadline;
+      if (rc > 0 && fds[2 + i].revents != 0) {
+        const std::size_t room = kMaxRequest - c.request.size();
+        const ssize_t n = ::read(c.fd, buf, room);
+        if (n > 0) c.request.append(buf, static_cast<std::size_t>(n));
+        done = done || (n < 0 && errno != EINTR) || n == 0 ||
+               c.request.size() == kMaxRequest ||
+               c.request.find('\n') != std::string::npos;
+      }
+      if (!done) continue;
+      if (!c.request.empty()) write_all(c.fd, response_for(c.request));
+      close_if(c.fd);
     }
-    if (request.empty()) {
-      ::close(client);
-      continue;
-    }
-    std::string path;
-    if (request.compare(0, 4, "GET ") == 0) {
-      const auto end = request.find(' ', 4);
-      if (end != std::string::npos) path = request.substr(4, end - 4);
-    }
+    std::erase_if(clients, [](const PendingClient& c) { return c.fd < 0; });
 
-    std::string response;
-    if (path == "/metrics") {
-      response = http_response(200, "OK", registry_.render(),
-                               "text/plain; version=0.0.4");
-    } else if (path == "/healthz") {
-      const bool up = !healthy_ || healthy_();
-      response = up ? http_response(200, "OK", "ok\n", "text/plain")
-                    : http_response(503, "Service Unavailable", "draining\n",
-                                    "text/plain");
-    } else {
-      response = http_response(404, "Not Found", "not found\n", "text/plain");
+    if (rc > 0 && (fds[1].revents & POLLIN) != 0) {
+      const int client = ::accept(listen_fd_, nullptr, nullptr);
+      if (client >= 0)
+        clients.push_back({client, Clock::now() + kRequestDeadline, {}});
     }
-    write_all(client, response);
-    ::close(client);
   }
+  for (PendingClient& c : clients) close_if(c.fd);
+}
+
+std::string HttpExporter::response_for(const std::string& request) const {
+  std::string path;
+  if (request.compare(0, 4, "GET ") == 0) {
+    const auto end = request.find(' ', 4);
+    if (end != std::string::npos) path = request.substr(4, end - 4);
+  }
+  if (path == "/metrics")
+    return http_response(200, "OK", registry_.render(),
+                         "text/plain; version=0.0.4");
+  if (path == "/healthz") {
+    const bool up = !healthy_ || healthy_();
+    return up ? http_response(200, "OK", "ok\n", "text/plain")
+              : http_response(503, "Service Unavailable", "draining\n",
+                              "text/plain");
+  }
+  return http_response(404, "Not Found", "not found\n", "text/plain");
 }
 
 }  // namespace rtcc::service

@@ -8,11 +8,12 @@
 //   GET /healthz  -> the health callback's string (200) or 503
 //
 // Shutdown uses the self-pipe idiom: stop() writes one byte into a
-// pipe the accept loop polls alongside the listen socket, and the
-// request read polls alongside the client, so the thread wakes
-// immediately without signals. Each request has a short fixed deadline
-// (500 ms) and a bounded read, so an idle or slow client cannot wedge
-// the one serving thread.
+// pipe the serving thread polls alongside the listen socket and the
+// pending clients, so the thread wakes immediately without signals.
+// Up to 16 clients (the listen backlog) are read in that one poll set,
+// and each is answered as soon as its request line ends. Each request
+// has a short fixed deadline (500 ms) and a bounded read (2 KiB), so
+// idle or slow clients cannot delay a ready scrape.
 #pragma once
 
 #include <atomic>
@@ -45,6 +46,7 @@ class HttpExporter {
 
  private:
   void serve();
+  [[nodiscard]] std::string response_for(const std::string& request) const;
 
   const MetricsRegistry& registry_;
   std::function<bool()> healthy_;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "dpi/scanning_dpi.hpp"
+#include "dpi/simd_dispatch.hpp"
 #include "dpi/strict_dpi.hpp"
 #include "util/rng.hpp"
 
@@ -296,6 +297,140 @@ TEST(ScanningDpi, CandidateCountsReported) {
   }
   EXPECT_EQ(messages, 5u);
   EXPECT_GT(candidates, messages);  // scan noise exists and is filtered
+}
+
+// ---- Large streams ----
+//
+// The streams above stay far below 2048 RTP pairs, so stream-level
+// validation never reaches the radix grouping or the repeat filter in
+// front of it. This one has 5002 datagrams of random SRTP-like payload:
+// ~10^5 noise pairs with one-off SSRCs, enough that the filter's hashed
+// buckets collide. Datagrams 0..4999 carry a genuine stream behind a
+// 4-byte proprietary header; the next two carry an SSRC that occurs
+// exactly twice, with adjacent sequence numbers, at offset 0; the last
+// three carry a weakly supported SSRC (3 packets) behind 40 bytes that
+// start with an RTP-shaped header whose SSRC occurs nowhere else.
+
+constexpr std::uint32_t kGenuineSsrc = 0x600DF00D;
+constexpr std::uint32_t kTwinSsrc = 0x7A1A5EED;
+constexpr std::uint32_t kWeakSsrc = 0x3EE3EE3E;
+constexpr std::size_t kLargeGenuine = 5000;
+constexpr std::size_t kTwinAt = kLargeGenuine;  // two datagrams
+
+const StreamFixture& large_srtp_stream() {
+  static const StreamFixture f = [] {
+    Rng rng(17);
+    StreamFixture out;
+    for (std::size_t i = 0; i < kLargeGenuine; ++i) {
+      Bytes d = {0x05, 0x31, static_cast<std::uint8_t>(i >> 8),
+                 static_cast<std::uint8_t>(i)};
+      const Bytes inner =
+          rtp_packet(rng, kGenuineSsrc, static_cast<std::uint16_t>(i),
+                     160 + rng.below(800));
+      d.insert(d.end(), inner.begin(), inner.end());
+      out.add(std::move(d));
+    }
+    out.add(rtp_packet(rng, kTwinSsrc, 500, 300));
+    out.add(rtp_packet(rng, kTwinSsrc, 501, 300));
+    for (std::uint16_t j = 0; j < 3; ++j) {
+      // An RTP-shaped header with a random one-off SSRC at offset 1.
+      Bytes d = {0x05, 0x80, 0x60};
+      const Bytes noise = rng.bytes(37);
+      d.insert(d.end(), noise.begin(), noise.end());
+      const Bytes inner =
+          rtp_packet(rng, kWeakSsrc, static_cast<std::uint16_t>(700 + j), 200);
+      d.insert(d.end(), inner.begin(), inner.end());
+      out.add(std::move(d));
+    }
+    return out;
+  }();
+  return f;
+}
+
+/// The levels this build can run; each large-stream case runs at all.
+std::vector<SimdLevel> runnable_levels() {
+  std::vector<SimdLevel> out;
+  for (const SimdLevel l : {SimdLevel::kScalar, SimdLevel::kSse2})
+    if (simd_level_supported(l)) out.push_back(l);
+  return out;
+}
+
+bool has_rtp_ssrc(const DatagramAnalysis& a, std::uint32_t ssrc) {
+  for (const auto& m : a.messages)
+    if (m.kind == MessageKind::kRtp && m.rtp->ssrc == ssrc) return true;
+  return false;
+}
+
+TEST(ScanningDpi, LargeStreamTwiceSeenSsrcNeedsSupportTwo) {
+  const auto dgs = large_srtp_stream().datagrams();
+  for (const SimdLevel level : runnable_levels()) {
+    SCOPED_TRACE(to_string(level));
+    const SimdModeGuard guard(level);
+    ScanOptions two;
+    two.min_ssrc_support = 2;
+    const auto out2 = ScanningDpi(two).analyze_stream(dgs);
+    ScanOptions three;
+    three.min_ssrc_support = 3;
+    const auto out3 = ScanningDpi(three).analyze_stream(dgs);
+    for (std::size_t di = kTwinAt; di < kTwinAt + 2; ++di) {
+      ASSERT_FALSE(out2[di].messages.empty()) << di;
+      EXPECT_EQ(out2[di].messages[0].offset, 0u) << di;
+      EXPECT_TRUE(has_rtp_ssrc(out2[di], kTwinSsrc)) << di;
+      EXPECT_FALSE(has_rtp_ssrc(out3[di], kTwinSsrc)) << di;
+    }
+  }
+}
+
+TEST(ScanningDpi, LargeStreamGenuineSsrcBehindHeaderInEveryDatagram) {
+  const auto dgs = large_srtp_stream().datagrams();
+  for (const SimdLevel level : runnable_levels()) {
+    SCOPED_TRACE(to_string(level));
+    const SimdModeGuard guard(level);
+    const auto out = ScanningDpi().analyze_stream(dgs);
+    std::size_t found = 0;
+    for (std::size_t di = 0; di < kLargeGenuine; ++di) {
+      const auto& a = out[di];
+      found += a.klass == DatagramClass::kProprietaryHeader &&
+               a.proprietary_header_len == 4 && a.messages.size() == 1 &&
+               a.messages[0].kind == MessageKind::kRtp &&
+               a.messages[0].rtp->ssrc == kGenuineSsrc &&
+               a.messages[0].rtp->sequence_number == static_cast<std::uint16_t>(di);
+    }
+    EXPECT_EQ(found, kLargeGenuine);
+  }
+}
+
+TEST(ScanningDpi, LargeStreamUnvalidatedCountsArePinned) {
+  // With validation off every candidate survives to the overlap
+  // dominance rule, which asks for the support of noise SSRCs the
+  // repeat filter drops: in the last three datagrams the one-off SSRC
+  // at offset 1 (support 1) competes with the weak SSRC (support 3). The
+  // constants were recorded before the filter existed; any change in a
+  // per-datagram message list moves the digest.
+  const auto dgs = large_srtp_stream().datagrams();
+  for (const SimdLevel level : runnable_levels()) {
+    SCOPED_TRACE(to_string(level));
+    const SimdModeGuard guard(level);
+    ScanOptions no_validate;
+    no_validate.validate = false;
+    const auto out = ScanningDpi(no_validate).analyze_stream(dgs);
+    std::uint64_t candidates = 0, messages = 0;
+    std::uint64_t digest = 14695981039346656037ULL;  // FNV-1a
+    const auto mix = [&digest](std::uint64_t v) {
+      digest ^= v;
+      digest *= 1099511628211ULL;
+    };
+    for (const auto& a : out) {
+      candidates += a.candidates;
+      messages += a.messages.size();
+      mix(a.messages.size());
+      for (const auto& m : a.messages)
+        mix(m.offset << 8 | static_cast<std::uint64_t>(m.kind));
+    }
+    EXPECT_EQ(candidates, 111855u);
+    EXPECT_EQ(messages, 5005u);
+    EXPECT_EQ(digest, 10847191808898216578ULL);
+  }
 }
 
 TEST(StrictDpi, OffsetZeroOnly) {

@@ -405,6 +405,35 @@ TEST(Service, IdleMetricsClientNeitherWedgesScrapesNorStop) {
   EXPECT_TRUE(prompt) << "stop() waited on an idle client";
 }
 
+TEST(Service, ScrapeIsAnsweredPromptlyBehindEightIdleClients) {
+  const service::MetricsRegistry registry;
+  service::HttpExporter exporter(registry, [] { return true; });
+  std::string err;
+  ASSERT_TRUE(exporter.start(0, &err)) << err;
+
+  // Eight peers connect and send nothing. Each holds a read slot until
+  // its 500 ms deadline; a ready request must not queue behind them.
+  std::vector<int> idle;
+  for (int i = 0; i < 8; ++i) {
+    const int fd = connect_loopback(exporter.port());
+    ASSERT_GE(fd, 0);
+    idle.push_back(fd);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string health = http_get(exporter.port(), "/healthz");
+  const auto took = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(health.rfind("HTTP/1.0 200", 0), 0u) << health;
+  EXPECT_LT(took, std::chrono::milliseconds(250));
+
+  auto stopped = std::async(std::launch::async, [&] { exporter.stop(); });
+  const bool prompt =
+      stopped.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  for (const int fd : idle) ::close(fd);
+  stopped.wait();
+  EXPECT_TRUE(prompt) << "stop() waited on idle clients";
+}
+
 TEST(Service, ServiceEpochKnobParsesStrictlyWithFallback) {
   ::setenv("RTCC_SERVICE_EPOCH", "2.5", 1);
   EXPECT_EQ(service::service_epoch_from_env(), 2.5);
